@@ -17,6 +17,7 @@ from .assessment import (
     load_corpus,
     sample_assessment,
 )
+from .dataset import Dataset, translate
 from .errors import (
     ConflictError,
     FormatError,
@@ -45,7 +46,7 @@ from .queries import (
     render_query,
 )
 from .registry import Term, Vocabulary, VocabularyRegistry, normalize_term
-from .service import Dataset, ServiceConfig, serve, translate
+from .service import ServiceConfig, serve
 from .skos import export_skos, import_skos
 from .store import (
     Concept,

@@ -16,11 +16,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from io import StringIO
 from typing import IO
 
 from .errors import FormatError, InvalidMappingError, InvalidTermError
-from .registry import normalize_term
+from .registry import normalize_term, read_numbered_lines
 from .store import CrosswalkStore, Mapping, RelationType
 
 CORPUS_HEADER = "#corpus v1"
@@ -39,8 +38,7 @@ class Corpus:
         self.docs.setdefault(doc_id, set()).add((vocab, normalize_term(term)))
 
     def count_with(self, vocab: str, term: str) -> int:
-        key = (vocab, normalize_term(term))
-        return sum(1 for descriptors in self.docs.values() if key in descriptors)
+        return self.count_with_all(vocab, (term,))
 
     def count_with_all(self, vocab: str, terms: tuple[str, ...]) -> int:
         keys = {(vocab, normalize_term(t)) for t in terms}
@@ -55,20 +53,11 @@ class CorpusLoad:
 
 def load_corpus(stream: IO[str] | str) -> CorpusLoad:
     """Parse a corpus TSV; malformed lines are reported and skipped."""
-    if isinstance(stream, str):
-        stream = StringIO(stream)
-    lines = iter(stream)
-    try:
-        header = next(lines).rstrip("\n")
-    except StopIteration:
-        raise FormatError(f"empty stream; expected {CORPUS_HEADER!r} header")
+    header, lines = read_numbered_lines(stream, CORPUS_HEADER)
     if header != CORPUS_HEADER:
         raise FormatError(f"bad header {header!r}; expected {CORPUS_HEADER!r}")
     load = CorpusLoad(corpus=Corpus())
-    for line_no, line in enumerate(lines, start=2):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
+    for line_no, line in lines:
         fields = line.split("\t")
         if len(fields) != 3:
             load.errors.append((line_no, f"expected 3 fields, got {len(fields)}"))

@@ -18,13 +18,14 @@ from pathlib import Path
 from urllib.parse import quote
 
 from .assessment import load_corpus, sample_assessment
+from .dataset import Dataset, translate
 from .errors import KomoheError
 from .inference import detect_variant_mappings, export_inferred_tsv, infer_pivot
 from .queries import ExpansionConfig, expand_query, parse_query, render_query
 from .registry import Vocabulary
-from .service import Dataset, ServiceConfig, serve
+from .service import ServiceConfig, serve
 from .skos import export_skos, import_skos
-from .store import Mapping, RelationType, RelevanceRating
+from .store import RelationType, RelevanceRating, parse_relations, tsv_row
 
 logger = logging.getLogger(__name__)
 
@@ -45,45 +46,28 @@ def load_dataset(args: argparse.Namespace) -> Dataset:
     return Dataset.load([directory])
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace path in one step, so a crash leaves the old file or the new one."""
+    temp = path.with_name(path.name + ".tmp")
+    with temp.open("w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(temp, path)
+
+
 def save_dataset(dataset: Dataset, directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for vocab in dataset.registry.vocabularies():
         filename = quote(vocab.id, safe="") + ".terms"
-        (directory / filename).write_text(
-            dataset.registry.export_terms(vocab.id), encoding="utf-8"
-        )
-    (directory / CROSSWALKS_FILE).write_text(
-        dataset.store.export_tsv(), encoding="utf-8"
-    )
-
-
-def _parse_relation_set(text: str) -> set[RelationType]:
-    relations = set()
-    for symbol in text.split(","):
-        symbol = symbol.strip()
-        if symbol:
-            relations.add(RelationType.parse(symbol))
-    if not relations:
-        raise KomoheError(f"no relation symbols in {text!r}")
-    return relations
+        _write_atomic(directory / filename, dataset.registry.export_terms(vocab.id))
+    _write_atomic(directory / CROSSWALKS_FILE, dataset.store.export_tsv())
 
 
 def _print_mapping_rows(results) -> None:
     for crosswalk, mapping in results:
-        target_terms = mapping.target.label if mapping.target else ""
         target_vocab = crosswalk.target_vocab if mapping.target else ""
-        print(
-            "\t".join(
-                (
-                    crosswalk.source_vocab,
-                    mapping.source.terms[0],
-                    mapping.relation.value,
-                    target_vocab,
-                    target_terms,
-                    mapping.rating.value,
-                )
-            )
-        )
+        print(tsv_row(crosswalk.source_vocab, mapping, target_vocab))
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +119,7 @@ def cmd_terms(args: argparse.Namespace) -> int:
 
 def cmd_lookup(args: argparse.Namespace) -> int:
     dataset = load_dataset(args)
-    relations = _parse_relation_set(args.relation) if args.relation else None
+    relations = parse_relations(args.relation) if args.relation else None
     min_rating = RelevanceRating.parse(args.min_rating) if args.min_rating else None
     results = dataset.store.mappings_from(
         args.term,
@@ -157,7 +141,7 @@ def cmd_reverse(args: argparse.Namespace) -> int:
 def cmd_expand(args: argparse.Namespace) -> int:
     dataset = load_dataset(args)
     config = ExpansionConfig(
-        relations=frozenset(_parse_relation_set(args.relations)),
+        relations=frozenset(parse_relations(args.relations)),
         target_vocabs=frozenset(args.vocabs.split(",")) if args.vocabs else None,
         max_terms_per_leaf=args.max,
     )
@@ -176,8 +160,6 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
-    from .service import translate
-
     dataset = load_dataset(args)
     candidates = translate(dataset, args.term, args.to, source_lang=getattr(args, "from"))
     for c in candidates:
@@ -193,12 +175,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         crosswalk, _ = dataset.store.ensure_crosswalk(args.source, args.target)
         promoted = 0
         for m in inferred:
-            mapping = Mapping(
-                source=m.source,
-                relation=m.relation,
-                target=m.target,
-                rating=m.confidence,
-            )
+            mapping = m.as_mapping()
             if crosswalk.contains(mapping):
                 continue
             dataset.store.add_mapping(crosswalk.id, mapping)
@@ -281,15 +258,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                     crosswalk_id,
                     str(stats.mapping_count),
                     *(str(stats.relations[r]) for r in RelationType),
-                    *(
-                        str(stats.ratings[r])
-                        for r in (
-                            RelevanceRating.HIGH,
-                            RelevanceRating.MEDIUM,
-                            RelevanceRating.LOW,
-                            RelevanceRating.UNRATED,
-                        )
-                    ),
+                    *(str(stats.ratings[r]) for r in RelevanceRating),
                 ]
             )
         )
@@ -303,7 +272,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         config = ServiceConfig()
     if args.host:
         config.host = args.host
-    if args.port:
+    if args.port is not None:
         config.port = args.port
     if args.data:
         config.data_paths = [Path(args.data)]

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NotFoundError
-from .store import TSV_HEADER, Concept, CrosswalkStore, RelationType, RelevanceRating
+from .store import TSV_HEADER, Concept, CrosswalkStore, Mapping, RelationType, RelevanceRating
+from .store import tsv_row
 
 _EQ = RelationType.EQ
 _BROADER = RelationType.BROADER_TARGET
@@ -65,6 +66,10 @@ class InferredMapping:
     confidence: RelevanceRating
     path: tuple[str, str]
     pivot_vocab: str
+
+    def as_mapping(self) -> Mapping:
+        """The proposal as a storable mapping, its confidence as the rating."""
+        return Mapping(self.source, self.relation, self.target, self.confidence)
 
 
 def infer_pivot(
@@ -120,20 +125,10 @@ def export_inferred_tsv(
 ) -> str:
     """Inferred mappings in crosswalk TSV form with a trailing `# via:` column."""
     out = [TSV_HEADER]
-    for m in inferred:
-        out.append(
-            "\t".join(
-                (
-                    source_vocab,
-                    m.source.terms[0],
-                    m.relation.value,
-                    target_vocab,
-                    m.target.label,
-                    m.confidence.value,
-                    f"# via:{m.pivot_vocab}",
-                )
-            )
-        )
+    out.extend(
+        f"{tsv_row(source_vocab, m.as_mapping(), target_vocab)}\t# via:{m.pivot_vocab}"
+        for m in inferred
+    )
     return "\n".join(out) + "\n"
 
 

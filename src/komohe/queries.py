@@ -23,6 +23,12 @@ from .store import CrosswalkStore, RelationType, RelevanceRating
 
 Node = Union["Leaf", "And", "Or", "Not"]
 
+# Deepest nesting parse_query admits, far below the interpreter's recursion
+# limit. A level is a parenthesis, or a NOT that does not directly follow
+# one: render_query writes every And, Or and Not node as one such level, so
+# any tree at most this deep renders to text that parses back.
+MAX_QUERY_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class Leaf:
@@ -121,9 +127,17 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def descend(self, token: _Token, levels: int = 1) -> None:
+        self.depth += levels
+        if self.depth > MAX_QUERY_DEPTH:
+            raise QueryParseError(
+                f"query nested deeper than {MAX_QUERY_DEPTH} levels", token.position
+            )
 
     def take(self) -> _Token:
         token = self.peek()
@@ -163,14 +177,20 @@ class _Parser:
 
     def parse_not(self) -> Node:
         token = self.peek()
-        if token is not None and token.kind == "NOT":
-            self.take()
-            return Not(self.parse_not())
-        return self.parse_atom()
+        if token is None or token.kind != "NOT":
+            return self.parse_atom()
+        # in "(NOT x)" the parenthesis already opened the level
+        levels = int(self.pos == 0 or self.tokens[self.pos - 1].kind != "LPAREN")
+        self.take()
+        self.descend(token, levels)
+        node = Not(self.parse_not())
+        self.depth -= levels
+        return node
 
     def parse_atom(self) -> Node:
         token = self.take()
         if token.kind == "LPAREN":
+            self.descend(token)
             node = self.parse_or()
             closing = self.peek()
             if closing is None or closing.kind != "RPAREN":
@@ -179,6 +199,7 @@ class _Parser:
                     closing.position if closing else len(self.text),
                 )
             self.take()
+            self.depth -= 1
             return node
         if token.kind == "TEXT":
             try:
@@ -192,7 +213,8 @@ def parse_query(text: str) -> Node:
     """Parse Boolean query text into an AST.
 
     Raises QueryParseError (with position) on unbalanced parentheses or
-    quotes, dangling operators, and empty input.
+    quotes, dangling operators, empty input, and nesting deeper than
+    MAX_QUERY_DEPTH.
     """
     if not text.strip():
         raise QueryParseError("empty query", 0)
@@ -328,6 +350,7 @@ __all__ = [
     "ExpansionTrace",
     "Leaf",
     "LeafExpansion",
+    "MAX_QUERY_DEPTH",
     "Node",
     "Not",
     "Or",

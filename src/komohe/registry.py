@@ -2,17 +2,17 @@
 
 Every string that enters the mapping network goes through
 :func:`normalize_term` exactly once; lookups compare normalized keys only.
-The registry is read-mostly: mutation is serialized behind a lock, readers
-see a stable snapshot.
+One loader builds the registry; once loading has finished it is only read,
+so it needs no lock.
 """
 
 from __future__ import annotations
 
 import shlex
-import threading
 import unicodedata
-from dataclasses import dataclass, field
-from typing import IO, Iterable
+from dataclasses import dataclass
+from io import StringIO
+from typing import IO, Iterable, Iterator
 
 from .errors import ConflictError, FormatError, InvalidTermError, NotFoundError
 
@@ -48,6 +48,25 @@ def normalize_term(raw: str) -> str:
     if not collapsed:
         raise InvalidTermError("term is empty or whitespace-only")
     return collapsed
+
+
+def read_numbered_lines(
+    stream: IO[str] | Iterable[str] | str, expected_header: str
+) -> tuple[str, Iterator[tuple[int, str]]]:
+    """Split a line-oriented file into its header and its numbered data lines.
+
+    The header is line 1. Data lines come back as (line number, text
+    without the newline); blank lines and `#` lines are skipped. Raises
+    FormatError naming `expected_header` when the stream is empty.
+    """
+    lines = iter(StringIO(stream) if isinstance(stream, str) else stream)
+    header = next(lines, None)
+    if header is None:
+        raise FormatError(f"empty stream; expected {expected_header!r} header")
+    numbered = enumerate((line.rstrip("\n") for line in lines), start=2)
+    return header.rstrip("\n"), (
+        (line_no, line) for line_no, line in numbered if line.strip() and not line.startswith("#")
+    )
 
 
 def _validate_vocab_id(vocab_id: str) -> None:
@@ -91,30 +110,27 @@ class VocabularyRegistry:
     def __init__(self) -> None:
         self._vocabularies: dict[str, Vocabulary] = {}
         self._terms: dict[str, dict[str, Term]] = {}
-        self._lock = threading.Lock()
 
     def register_vocabulary(self, vocabulary: Vocabulary) -> str:
         """Register a new vocabulary and return its id.
 
         Raises ConflictError if the id is already taken.
         """
-        with self._lock:
-            if vocabulary.id in self._vocabularies:
-                raise ConflictError(f"vocabulary {vocabulary.id!r} already registered")
-            self._vocabularies[vocabulary.id] = vocabulary
-            self._terms[vocabulary.id] = {}
+        if vocabulary.id in self._vocabularies:
+            raise ConflictError(f"vocabulary {vocabulary.id!r} already registered")
+        self._vocabularies[vocabulary.id] = vocabulary
+        self._terms[vocabulary.id] = {}
         return vocabulary.id
 
     def ensure_vocabulary(self, vocab_id: str, language: str = "en") -> Vocabulary:
         """Return the vocabulary, auto-registering it if unknown."""
-        with self._lock:
-            existing = self._vocabularies.get(vocab_id)
-            if existing is not None:
-                return existing
-            vocabulary = Vocabulary(id=vocab_id, language=language)
-            self._vocabularies[vocab_id] = vocabulary
-            self._terms[vocab_id] = {}
-            return vocabulary
+        existing = self._vocabularies.get(vocab_id)
+        if existing is not None:
+            return existing
+        vocabulary = Vocabulary(id=vocab_id, language=language)
+        self._vocabularies[vocab_id] = vocabulary
+        self._terms[vocab_id] = {}
+        return vocabulary
 
     def vocabulary(self, vocab_id: str) -> Vocabulary:
         try:
@@ -142,17 +158,20 @@ class VocabularyRegistry:
         Re-adding a term whose normalized form already exists is a no-op
         returning the stored term; the first display form wins.
         """
+        return self.intern_term(vocab_id, normalize_term(display), display)
+
+    def intern_term(self, vocab_id: str, normalized: str, display: str) -> Term:
+        """add_term for a caller that already holds normalize_term(display)."""
         self.vocabulary(vocab_id)
-        normalized = normalize_term(display)
-        with self._lock:
-            existing = self._terms[vocab_id].get(normalized)
-            if existing is not None:
-                return existing
-            # Outer whitespace would not survive an export/import cycle,
-            # so trim it; inner spacing is part of the display form.
-            term = Term(vocabulary=vocab_id, normalized=normalized, display=display.strip())
-            self._terms[vocab_id][normalized] = term
-            return term
+        terms = self._terms[vocab_id]
+        existing = terms.get(normalized)
+        if existing is not None:
+            return existing
+        # Outer whitespace would not survive an export/import cycle,
+        # so trim it; inner spacing is part of the display form.
+        term = Term(vocabulary=vocab_id, normalized=normalized, display=display.strip())
+        terms[normalized] = term
+        return term
 
     def lookup_term(self, vocab_id: str, raw: str) -> Term | None:
         """Find a term by any orthographic variant of its normalized form."""
@@ -180,11 +199,7 @@ class VocabularyRegistry:
         Auto-registers the vocabulary named in the header. If `vocab_id` is
         given it must match the header.
         """
-        lines = iter(stream)
-        try:
-            header = next(lines).rstrip("\n")
-        except StopIteration:
-            raise FormatError("term list is empty; expected `#terms <vocab-id>` header")
+        header, lines = read_numbered_lines(stream, f"{TERMS_HEADER} <vocab-id>")
         fields = shlex.split(header)
         if len(fields) < 2 or fields[0] != TERMS_HEADER:
             raise FormatError(f"bad term-list header {header!r}")
@@ -205,10 +220,7 @@ class VocabularyRegistry:
             )
             self.register_vocabulary(vocab)
         before = self.term_count(file_vocab)
-        for line in lines:
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
+        for _, line in lines:
             self.add_term(file_vocab, line)
         return self.term_count(file_vocab) - before
 

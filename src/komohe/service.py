@@ -1,9 +1,8 @@
 """The heterogeneity service: an HTTP+JSON lookup API over a loaded dataset.
 
-The service is read-only: term lists and crosswalk TSVs are loaded once at
-startup into an immutable snapshot and served to any number of concurrent
-readers. Mutation happens through the CLI before serving; a reload is a
-restart.
+The service loads its Dataset once at startup and never writes it, so the
+handler threads only read. Mutation happens through the CLI before
+serving; a reload is a restart.
 
 Endpoints (all GET, JSON responses carry a top-level "v": 1):
     /vocabularies
@@ -23,115 +22,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from .errors import InvalidMappingError, InvalidTermError, KomoheError, NotFoundError, QueryParseError
+from .dataset import Dataset, translate
+from .errors import InvalidMappingError, KomoheError, NotFoundError, QueryParseError
 from .queries import ExpansionConfig, expand_query, parse_query, render_query
-from .registry import ISO_639_1, VocabularyRegistry
-from .store import CrosswalkStore, RelationType, RelevanceRating
+from .registry import ISO_639_1
+from .store import RelationType, RelevanceRating, parse_relations
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class Dataset:
-    """A registry/store pair loaded from disk and served as one snapshot."""
-
-    registry: VocabularyRegistry
-    store: CrosswalkStore
-
-    @classmethod
-    def empty(cls) -> "Dataset":
-        registry = VocabularyRegistry()
-        return cls(registry=registry, store=CrosswalkStore(registry))
-
-    @classmethod
-    def load(cls, paths: list[Path]) -> "Dataset":
-        """Load term-list (*.terms) and crosswalk (*.tsv) files.
-
-        Directories are scanned (sorted); term lists load before crosswalks
-        so vocabulary metadata wins over auto-registration.
-        """
-        dataset = cls.empty()
-        term_files: list[Path] = []
-        tsv_files: list[Path] = []
-        for path in paths:
-            if path.is_dir():
-                term_files.extend(sorted(path.glob("*.terms")))
-                tsv_files.extend(sorted(path.glob("*.tsv")))
-            elif path.suffix == ".terms":
-                term_files.append(path)
-            else:
-                tsv_files.append(path)
-        for path in term_files:
-            with path.open(encoding="utf-8") as fh:
-                dataset.registry.import_terms(fh)
-        for path in tsv_files:
-            with path.open(encoding="utf-8") as fh:
-                report = dataset.store.import_tsv(fh)
-            for line_no, reason in report.errors:
-                logger.warning("%s:%d: %s", path, line_no, reason)
-        return dataset
-
-
-@dataclass(frozen=True)
-class TranslationCandidate:
-    """A preferred controlled term in the requested language."""
-
-    term: str
-    vocab: str
-    rating: RelevanceRating
-    path: str  # crosswalk id the candidate came from
-
-
-def translate(
-    dataset: Dataset,
-    term: str,
-    target_lang: str,
-    source_lang: str | None = None,
-) -> list[TranslationCandidate]:
-    """Follow equivalence mappings into vocabularies of the target language.
-
-    The term is resolved in every vocabulary of the source language (or all
-    vocabularies when unspecified); single-term equivalence targets in
-    target-language vocabularies are returned, deduplicated per (vocab,
-    term) keeping the best rating, ordered by rating then term.
-    """
-    if not dataset.registry.vocabularies_by_language(target_lang):
-        raise NotFoundError(f"no vocabulary with language {target_lang!r}")
-    if source_lang is None:
-        source_vocabs = dataset.registry.vocabularies()
-    else:
-        source_vocabs = dataset.registry.vocabularies_by_language(source_lang)
-
-    best: dict[tuple[str, str], TranslationCandidate] = {}
-    for vocab in source_vocabs:
-        found = dataset.registry.lookup_term(vocab.id, term)
-        if found is None:
-            continue
-        for crosswalk, mapping in dataset.store.mappings_from(
-            found.normalized,
-            source_vocab=vocab.id,
-            relations={RelationType.EQ},
-        ):
-            target_vocab = dataset.registry.vocabulary(crosswalk.target_vocab)
-            if target_vocab.language != target_lang:
-                continue
-            if mapping.target is None or not mapping.target.is_single:
-                continue
-            candidate = TranslationCandidate(
-                term=mapping.target.terms[0],
-                vocab=crosswalk.target_vocab,
-                rating=mapping.rating,
-                path=crosswalk.id,
-            )
-            key = (candidate.vocab, candidate.term)
-            current = best.get(key)
-            if current is None or candidate.rating.rank > current.rating.rank:
-                best[key] = candidate
-    return sorted(best.values(), key=lambda c: (-c.rating.rank, c.term, c.vocab))
-
-
-# ----------------------------------------------------------------------
-# HTTP layer
 
 
 @dataclass
@@ -170,32 +67,19 @@ class ServiceConfig:
         return config
 
 
-class _BadRequest(Exception):
-    pass
+class _BadRequest(KomoheError):
+    """A request parameter is missing or unusable; answered with 400."""
 
 
 def _parse_relations(text: str) -> set[RelationType]:
-    relations = set()
-    for symbol in text.split(","):
-        symbol = symbol.strip()
-        if not symbol:
-            continue
-        try:
-            relations.add(RelationType.parse(symbol))
-        except InvalidMappingError as exc:
-            raise _BadRequest(str(exc))
-    if not relations:
-        raise _BadRequest("no valid relation symbols given")
+    relations = parse_relations(text)
     if RelationType.NULL in relations:
         raise _BadRequest("relation 0 cannot be requested")
     return relations
 
 
 def _parse_rating(text: str) -> RelevanceRating:
-    try:
-        rating = RelevanceRating.parse(text)
-    except InvalidMappingError as exc:
-        raise _BadRequest(str(exc))
+    rating = RelevanceRating.parse(text)
     if rating is RelevanceRating.UNRATED:
         raise _BadRequest("min_rating must be high, medium, or low")
     return rating
@@ -218,16 +102,11 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
             segments = [unquote(s) for s in split.path.split("/") if s]
             params = parse_qs(split.query, keep_blank_values=True)
             payload, status = self.route(segments, params)
-        except _BadRequest as exc:
-            payload, status = {"v": 1, "error": str(exc)}, 400
         except NotFoundError as exc:
             payload, status = {"v": 1, "error": str(exc)}, 404
         except QueryParseError as exc:
-            payload, status = (
-                {"v": 1, "error": str(exc), "position": exc.position},
-                400,
-            )
-        except (InvalidTermError, InvalidMappingError) as exc:
+            payload, status = {"v": 1, "error": str(exc), "position": exc.position}, 400
+        except KomoheError as exc:
             payload, status = {"v": 1, "error": str(exc)}, 400
         except Exception:  # pragma: no cover - last-resort guard
             logger.exception("unhandled error for %s", self.path)
@@ -320,7 +199,7 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
                 target_vocabs=vocabs,
                 max_terms_per_leaf=max_terms,
             )
-        except (InvalidMappingError, ValueError) as exc:
+        except ValueError as exc:
             raise _BadRequest(str(exc))
         ast = parse_query(query)
         expanded, trace = expand_query(ast, self.dataset.store, config)

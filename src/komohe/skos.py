@@ -17,7 +17,7 @@ from io import StringIO
 from typing import IO, Iterable
 from urllib.parse import quote, unquote
 
-from .errors import ConflictError, InvalidMappingError, InvalidTermError, NotFoundError
+from .errors import InvalidTermError, KomoheError
 from .store import Concept, CrosswalkStore, Mapping, RelationType, RelevanceRating
 
 logger = logging.getLogger(__name__)
@@ -149,20 +149,20 @@ def import_skos(
             )
             continue
         try:
-            if crosswalk is None:
-                store.registry.ensure_vocabulary(source_vocab)
-                store.registry.ensure_vocabulary(target_vocab)
-                crosswalk, _ = store.ensure_crosswalk(source_vocab, target_vocab)
-            store.registry.add_term(source_vocab, source_term)
-            store.registry.add_term(target_vocab, target_term)
             mapping = Mapping(
                 source=Concept.single(source_term),
                 relation=relation,
                 target=Concept.single(target_term),
                 rating=RelevanceRating.UNRATED,
             )
+            if crosswalk is None:
+                store.registry.ensure_vocabulary(source_vocab)
+                store.registry.ensure_vocabulary(target_vocab)
+                crosswalk, _ = store.ensure_crosswalk(source_vocab, target_vocab)
+            store.registry.intern_term(source_vocab, mapping.source.terms[0], source_term)
+            store.registry.intern_term(target_vocab, mapping.target.terms[0], target_term)
             store.add_mapping(crosswalk.id, mapping)
-        except (ConflictError, InvalidMappingError, InvalidTermError, NotFoundError) as exc:
+        except KomoheError as exc:
             report.errors.append((line_no, str(exc)))
             continue
         report.mappings_added += 1

@@ -12,21 +12,21 @@ TSV format (UTF-8, LF):
 
 Relation symbols: = (equivalence), < (target is broader), > (target is
 narrower), ^ (association), 0 (no counterpart exists). Combination targets
-join their member terms with " + ", so terms containing that exact
-three-character sequence do not survive the interchange format.
-target_terms and rating are empty for relation 0; lines starting with `#`
-are ignored. On export, null rows keep the target vocabulary in column 4
-so every line is attributable to its crosswalk; on import an empty column
-4 on a null row falls back to the last crosswalk seen for that source
-vocabulary.
+join their member terms with " + ", so a target whose terms would not split
+back the same way is an invalid mapping. target_terms and rating are empty
+for relation 0; lines starting with `#` are ignored. On export, null rows
+keep the target vocabulary in column 4 so every line is attributable to its
+crosswalk; on import an empty column 4 on a null row falls back to the last
+crosswalk seen for that source vocabulary.
+
+One loader builds the store; once loading has finished, any number of
+threads may read it, and nothing writes it again, so it needs no lock.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from io import StringIO
 from typing import IO, Iterable
 
 from .errors import (
@@ -34,9 +34,10 @@ from .errors import (
     FormatError,
     InvalidMappingError,
     InvalidTermError,
+    KomoheError,
     NotFoundError,
 )
-from .registry import VocabularyRegistry, normalize_term
+from .registry import VocabularyRegistry, normalize_term, read_numbered_lines
 
 TSV_HEADER = "#komohe-tsv v1"
 COMBINATION_JOIN = " + "
@@ -151,6 +152,11 @@ class Mapping:
             raise InvalidMappingError(
                 f"relation {self.relation.value!r} requires a target"
             )
+        if self.target and tuple(self.target.label.split(COMBINATION_JOIN)) != self.target.terms:
+            raise InvalidMappingError(
+                f"target {self.target.terms!r} cannot be written: "
+                f"{COMBINATION_JOIN!r} joins combination members"
+            )
 
     @property
     def triple(self) -> tuple[tuple[str, ...], str, tuple[str, ...] | None]:
@@ -200,11 +206,30 @@ class ImportReport:
     errors: list[tuple[int, str]] = field(default_factory=list)
 
 
-class CrosswalkStore:
-    """In-memory indexed store of crosswalks over a shared registry.
+def tsv_row(source_vocab: str, mapping: Mapping, target_vocab: str) -> str:
+    """One crosswalk TSV data line (no newline) for the mapping."""
+    return "\t".join(
+        (
+            source_vocab,
+            mapping.source.terms[0],
+            mapping.relation.value,
+            target_vocab,
+            mapping.target.label if mapping.target else "",
+            mapping.rating.value,
+        )
+    )
 
-    Readers see a stable snapshot; all writes are serialized behind a lock.
-    """
+
+def parse_relations(text: str) -> set[RelationType]:
+    """Comma-separated relation symbols such as `=,^`; empty items are skipped."""
+    relations = {RelationType.parse(s.strip()) for s in text.split(",") if s.strip()}
+    if not relations:
+        raise InvalidMappingError(f"no relation symbols in {text!r}")
+    return relations
+
+
+class CrosswalkStore:
+    """In-memory indexed store of crosswalks over a shared registry."""
 
     def __init__(self, registry: VocabularyRegistry):
         self.registry = registry
@@ -212,7 +237,6 @@ class CrosswalkStore:
         # term -> crosswalk id -> mappings, insertion order preserved
         self._by_source: dict[str, dict[str, list[Mapping]]] = {}
         self._by_target: dict[str, dict[str, list[Mapping]]] = {}
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # crosswalk management
@@ -225,29 +249,21 @@ class CrosswalkStore:
         self.registry.vocabulary(source_vocab)
         self.registry.vocabulary(target_vocab)
         crosswalk = Crosswalk(source_vocab, target_vocab)
-        with self._lock:
-            existing = self._crosswalks.get(crosswalk.id)
-            if existing is not None:
-                if (existing.source_vocab, existing.target_vocab) != (
-                    source_vocab,
-                    target_vocab,
-                ):
-                    raise ConflictError(
-                        f"crosswalk id {crosswalk.id!r} collides with "
-                        f"{existing.source_vocab!r}->{existing.target_vocab!r}"
-                    )
-                raise ConflictError(f"crosswalk {crosswalk.id!r} already exists")
-            self._crosswalks[crosswalk.id] = crosswalk
+        existing = self._crosswalks.get(crosswalk.id)
+        if existing is not None:
+            if (existing.source_vocab, existing.target_vocab) != (source_vocab, target_vocab):
+                raise ConflictError(
+                    f"crosswalk id {crosswalk.id!r} collides with "
+                    f"{existing.source_vocab!r}->{existing.target_vocab!r}"
+                )
+            raise ConflictError(f"crosswalk {crosswalk.id!r} already exists")
+        self._crosswalks[crosswalk.id] = crosswalk
         return crosswalk
 
     def ensure_crosswalk(self, source_vocab: str, target_vocab: str) -> tuple[Crosswalk, bool]:
         """Get or create; returns (crosswalk, created)."""
-        candidate_id = f"{source_vocab}-{target_vocab}"
-        existing = self._crosswalks.get(candidate_id)
-        if existing is not None and (existing.source_vocab, existing.target_vocab) == (
-            source_vocab,
-            target_vocab,
-        ):
+        existing = self.find_crosswalk(source_vocab, target_vocab)
+        if existing is not None:
             return existing, False
         return self.create_crosswalk(source_vocab, target_vocab), True
 
@@ -256,9 +272,6 @@ class CrosswalkStore:
             return self._crosswalks[crosswalk_id]
         except KeyError:
             raise NotFoundError(f"unknown crosswalk {crosswalk_id!r}") from None
-
-    def has_crosswalk(self, crosswalk_id: str) -> bool:
-        return crosswalk_id in self._crosswalks
 
     def crosswalks(self) -> list[Crosswalk]:
         return [self._crosswalks[k] for k in sorted(self._crosswalks)]
@@ -291,23 +304,16 @@ class CrosswalkStore:
                     raise NotFoundError(
                         f"term {member!r} not registered in {crosswalk.target_vocab!r}"
                     )
-        with self._lock:
-            if mapping.triple in crosswalk._triples:
-                raise ConflictError(
-                    f"duplicate mapping {mapping.label!r} in {crosswalk_id!r}"
-                )
-            mapping_id = f"{crosswalk_id}:{len(crosswalk.mappings) + 1}"
-            stored = replace(mapping, mapping_id=mapping_id)
-            crosswalk.mappings.append(stored)
-            crosswalk._triples.add(stored.triple)
-            self._by_source.setdefault(source_term, {}).setdefault(
-                crosswalk_id, []
-            ).append(stored)
-            if stored.target is not None:
-                for member in stored.target.terms:
-                    self._by_target.setdefault(member, {}).setdefault(
-                        crosswalk_id, []
-                    ).append(stored)
+        if mapping.triple in crosswalk._triples:
+            raise ConflictError(f"duplicate mapping {mapping.label!r} in {crosswalk_id!r}")
+        mapping_id = f"{crosswalk_id}:{len(crosswalk.mappings) + 1}"
+        stored = replace(mapping, mapping_id=mapping_id)
+        crosswalk.mappings.append(stored)
+        crosswalk._triples.add(stored.triple)
+        self._by_source.setdefault(source_term, {}).setdefault(crosswalk_id, []).append(stored)
+        if stored.target is not None:
+            for member in stored.target.terms:
+                self._by_target.setdefault(member, {}).setdefault(crosswalk_id, []).append(stored)
         return mapping_id
 
     def mappings_from(
@@ -379,13 +385,7 @@ class CrosswalkStore:
         the import never aborts mid-stream. A missing or wrong header is a
         FormatError.
         """
-        if isinstance(stream, str):
-            stream = StringIO(stream)
-        lines = iter(stream)
-        try:
-            header = next(lines).rstrip("\n")
-        except StopIteration:
-            raise FormatError(f"empty stream; expected {TSV_HEADER!r} header")
+        header, lines = read_numbered_lines(stream, TSV_HEADER)
         if header != TSV_HEADER:
             raise FormatError(f"bad header {header!r}; expected {TSV_HEADER!r}")
 
@@ -393,95 +393,71 @@ class CrosswalkStore:
         # source vocab -> crosswalk last used for it; context for null rows
         # whose target vocabulary column is empty.
         last_crosswalk_for: dict[str, Crosswalk] = {}
-        for line_no, line in enumerate(lines, start=2):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
+        for line_no, line in lines:
             try:
-                added_crosswalk = self._import_line(line, last_crosswalk_for)
-            except KomoheLineError as exc:
+                created = self._import_line(line, last_crosswalk_for)
+            except KomoheError as exc:
                 report.errors.append((line_no, str(exc)))
                 continue
             report.mappings_added += 1
-            report.crosswalks_created += added_crosswalk
+            report.crosswalks_created += created
         return report
 
-    def _import_line(
-        self, line: str, last_crosswalk_for: dict[str, Crosswalk]
-    ) -> int:
+    def _import_line(self, line: str, last_crosswalk_for: dict[str, Crosswalk]) -> bool:
+        """Store one data line; returns whether it created a crosswalk.
+
+        Every field is parsed and normalized before anything is registered.
+        """
         fields = line.split("\t")
         if len(fields) > 6:
             extra = fields[6:]
             if not (len(extra) == 1 and extra[0].lstrip().startswith("#")):
-                raise KomoheLineError(f"expected at most 6 fields, got {len(fields)}")
+                raise FormatError(f"expected at most 6 fields, got {len(fields)}")
             fields = fields[:6]
         if len(fields) < 3:
-            raise KomoheLineError(f"expected 6 tab-separated fields, got {len(fields)}")
+            raise FormatError(f"expected 6 tab-separated fields, got {len(fields)}")
         fields += [""] * (6 - len(fields))
         source_vocab, source_term, relation_sym, target_vocab, target_terms, rating_text = fields
 
-        try:
-            relation = RelationType.parse(relation_sym)
-            rating = RelevanceRating.parse(rating_text)
-            source = Concept.single(source_term)
-        except (InvalidMappingError, InvalidTermError) as exc:
-            raise KomoheLineError(str(exc))
-
+        relation = RelationType.parse(relation_sym)
+        rating = RelevanceRating.parse(rating_text)
+        source = Concept.single(source_term)
+        members = target_terms.split(COMBINATION_JOIN)
         if relation is RelationType.NULL:
             if target_terms.strip():
-                raise KomoheLineError("null relation cannot carry target terms")
+                raise InvalidMappingError("null relation cannot carry target terms")
             target = None
         else:
             if not target_terms.strip():
-                raise KomoheLineError(
-                    f"relation {relation.value!r} requires target terms"
-                )
+                raise InvalidMappingError(f"relation {relation.value!r} requires target terms")
             if not target_vocab:
-                raise KomoheLineError("missing target vocabulary")
-            members = target_terms.split(COMBINATION_JOIN)
-            try:
-                target = (
-                    Concept.single(members[0])
-                    if len(members) == 1
-                    else Concept.combination(members)
-                )
-            except InvalidTermError as exc:
-                raise KomoheLineError(str(exc))
+                raise InvalidMappingError("missing target vocabulary")
+            target = Concept.combination(members)
+        mapping = Mapping(source=source, relation=relation, target=target, rating=rating)
+        if not source_vocab:
+            raise InvalidMappingError("missing source vocabulary")
 
-        try:
-            if not source_vocab:
-                raise KomoheLineError("missing source vocabulary")
-            self.registry.ensure_vocabulary(source_vocab)
-            if target_vocab:
-                self.registry.ensure_vocabulary(target_vocab)
-        except InvalidTermError as exc:
-            raise KomoheLineError(str(exc))
-
+        self.registry.ensure_vocabulary(source_vocab)
+        if target_vocab:
+            self.registry.ensure_vocabulary(target_vocab)
         if relation is RelationType.NULL and not target_vocab:
-            context = last_crosswalk_for.get(source_vocab)
-            if context is None:
-                raise KomoheLineError(
+            crosswalk = last_crosswalk_for.get(source_vocab)
+            if crosswalk is None:
+                raise InvalidMappingError(
                     "null row has no target vocabulary and no preceding "
                     f"crosswalk for source vocabulary {source_vocab!r}"
                 )
-            crosswalk, created = context, False
+            created = False
         else:
-            try:
-                crosswalk, created = self.ensure_crosswalk(source_vocab, target_vocab)
-            except (InvalidMappingError, ConflictError) as exc:
-                raise KomoheLineError(str(exc))
+            crosswalk, created = self.ensure_crosswalk(source_vocab, target_vocab)
         last_crosswalk_for[source_vocab] = crosswalk
 
-        self.registry.add_term(source_vocab, source_term)
+        self.registry.intern_term(source_vocab, source.terms[0], source_term)
         if target is not None:
-            for member in target.terms:
-                self.registry.add_term(crosswalk.target_vocab, member)
-        mapping = Mapping(source=source, relation=relation, target=target, rating=rating)
-        try:
-            self.add_mapping(crosswalk.id, mapping)
-        except ConflictError as exc:
-            raise KomoheLineError(str(exc))
-        return 1 if created else 0
+            for normalized, display in zip(target.terms, members):
+                self.registry.intern_term(crosswalk.target_vocab, normalized, display)
+        self.add_mapping(crosswalk.id, mapping)
+        return created
 
     def export_tsv(self, crosswalk_ids: Iterable[str] | None = None) -> str:
         """Render crosswalks as TSV; re-importing reproduces the store.
@@ -499,22 +475,8 @@ class CrosswalkStore:
             ordered = sorted(
                 enumerate(crosswalk.mappings), key=lambda im: (im[1].source.terms[0], im[0])
             )
-            for _, mapping in ordered:
-                target_terms = mapping.target.label if mapping.target else ""
-                out.append(
-                    "\t".join(
-                        (
-                            crosswalk.source_vocab,
-                            mapping.source.terms[0],
-                            mapping.relation.value,
-                            crosswalk.target_vocab,
-                            target_terms,
-                            mapping.rating.value,
-                        )
-                    )
-                )
+            out.extend(
+                tsv_row(crosswalk.source_vocab, mapping, crosswalk.target_vocab)
+                for _, mapping in ordered
+            )
         return "\n".join(out) + "\n"
-
-
-class KomoheLineError(Exception):
-    """Internal: a single TSV line failed; reported, never fatal."""

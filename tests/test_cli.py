@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -206,3 +208,49 @@ class TestEnvDataDir(object):
         tsv.write_text(SIXROW_TSV, encoding="utf-8")
         assert cli.run(["import", str(tsv)]) == 0
         assert (tmp_path / "envdata" / "crosswalks.tsv").exists()
+
+
+class TestServeCommand:
+    def test_port_zero_reaches_serve(self, loaded, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "serve", lambda config: seen.append(config) or 0)
+        assert run(loaded, "serve", "--port", "0") == 0
+        assert seen[0].port == 0
+
+
+class TestRobustness:
+    def test_deep_query_is_domain_error(self, loaded, capsys):
+        assert run(loaded, "expand", "(" * 400 + "hacker" + ")" * 400) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_lookup_null_relation(self, loaded, capsys):
+        assert run(loaded, "lookup", "isdn device", "--relation", "0") == 0
+        assert capsys.readouterr().out == "A\tisdn device\t0\t\t\t\n"
+
+    def test_failed_replace_keeps_old_crosswalks(self, loaded, tmp_path, monkeypatch, capsys):
+        before = (loaded / "crosswalks.tsv").read_bytes()
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name == "crosswalks.tsv":
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        extra = tmp_path / "extra.tsv"
+        extra.write_text("#komohe-tsv v1\nA\tmodem\t=\tB\tnetworks\thigh\n", encoding="utf-8")
+        assert run(loaded, "import", str(extra)) == 1
+        assert "error:" in capsys.readouterr().err
+        assert (loaded / "crosswalks.tsv").read_bytes() == before
+
+    def test_skos_term_with_join_is_rejected(self, datadir, tmp_path, capsys):
+        nt = tmp_path / "plus.nt"
+        exact_match = "http://www.w3.org/2004/02/skos/core#exactMatch"
+        nt.write_text(f"<urn:kos:A:x> <{exact_match}> <urn:kos:B:a%20%2B%20b> .\n", encoding="utf-8")
+        assert run(datadir, "skos-import", str(nt), "--source", "A", "--target", "B") == 0
+        captured = capsys.readouterr()
+        assert "mappings_added\t0" in captured.out
+        assert f"{nt}:1:" in captured.err
+        assert run(datadir, "lookup", "x") == 0
+        assert capsys.readouterr().out == ""

@@ -1,0 +1,109 @@
+"""Property tests: TSV round trips, normalization, and the shared line reader."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from komohe.assessment import load_corpus
+from komohe.errors import ConflictError, InvalidMappingError, InvalidTermError
+from komohe.registry import VocabularyRegistry, normalize_term, read_numbered_lines
+from komohe.store import (
+    COMBINATION_JOIN,
+    Concept,
+    CrosswalkStore,
+    Mapping,
+    RelationType,
+    RelevanceRating,
+)
+
+PROPERTY = settings(deadline=None)
+
+# any code point but surrogates, salted with the combination join, its
+# parts, whitespace, comment marks, combining marks and case-folding oddities
+SALT = [" + ", "+", " ", "\t", "#", "ß", "İ", "\u0301", "\u00a0"]
+TERM = st.lists(st.one_of(st.text(max_size=3), st.sampled_from(SALT)), min_size=1, max_size=5).map(
+    "".join
+)
+ROW = st.tuples(
+    st.sampled_from([("a", "b"), ("b", "a"), ("a", "c")]),
+    TERM,
+    st.sampled_from(list(RelationType)),
+    st.lists(TERM, min_size=1, max_size=3),
+    st.sampled_from(list(RelevanceRating)),
+)
+
+
+@PROPERTY
+@given(st.text())
+def test_normalize_term_is_idempotent(raw):
+    try:
+        once = normalize_term(raw)
+    except InvalidTermError:
+        return
+    assert normalize_term(once) == once
+
+
+@PROPERTY
+@given(st.lists(ROW, max_size=20))
+def test_tsv_export_import_export_is_identity(rows):
+    store = CrosswalkStore(VocabularyRegistry())
+    for (source_vocab, target_vocab), source, relation, members, rating in rows:
+        try:
+            keys = [normalize_term(t) for t in (source, *members)]
+        except InvalidTermError:
+            continue
+        target = None if relation is RelationType.NULL else Concept(tuple(keys[1:]))
+        try:
+            mapping = Mapping(Concept((keys[0],)), relation, target, rating)
+        except InvalidMappingError:
+            # rejected only when the joined members would split differently
+            assert COMBINATION_JOIN.join(keys[1:]).split(COMBINATION_JOIN) != keys[1:]
+            continue
+        store.registry.ensure_vocabulary(source_vocab)
+        store.registry.ensure_vocabulary(target_vocab)
+        crosswalk, _ = store.ensure_crosswalk(source_vocab, target_vocab)
+        store.registry.add_term(source_vocab, source)
+        for member in members if target else ():
+            store.registry.add_term(target_vocab, member)
+        try:
+            store.add_mapping(crosswalk.id, mapping)
+        except ConflictError:
+            continue
+    text = store.export_tsv()
+    again = CrosswalkStore(VocabularyRegistry())
+    assert again.import_tsv(text).errors == []
+    assert again.export_tsv() == text
+
+
+# (header, good data line, malformed data line) per format; term lists
+# have no malformed lines, every non-blank line is a term
+FORMATS = {
+    "tsv": ("#komohe-tsv v1", "a\tx{i}\t=\tb\ty\thigh", "a\tx{i}\t?\tb\ty\thigh"),
+    "corpus": ("#corpus v1", "d{i}\tb\ty", "d{i}\tb"),
+    "terms": ("#terms a", "term {i}", "term {i} again"),
+}
+FILLER = {"blank": "   ", "comment": "# note"}
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(["blank", "comment", "good", "bad"]), max_size=30))
+def test_reader_numbers_lines_alike_for_every_format(layout):
+    data_lines = [n for n, kind in enumerate(layout, start=2) if kind not in FILLER]
+    bad_lines = [n for n, kind in enumerate(layout, start=2) if kind == "bad"]
+    texts = {}
+    for name, (header, good, bad) in FORMATS.items():
+        body = [
+            FILLER.get(kind) or (good if kind == "good" else bad).format(i=i)
+            for i, kind in enumerate(layout)
+        ]
+        texts[name] = "\n".join([header, *body]) + "\n"
+        read_header, lines = read_numbered_lines(texts[name], header)
+        assert read_header == header
+        assert [n for n, _ in lines] == data_lines
+
+    report = CrosswalkStore(VocabularyRegistry()).import_tsv(texts["tsv"])
+    assert [n for n, _ in report.errors] == bad_lines
+    assert [n for n, _ in load_corpus(texts["corpus"]).errors] == bad_lines
+    assert VocabularyRegistry().import_terms(texts["terms"]) == len(data_lines)

@@ -4,6 +4,7 @@ import pytest
 
 from komohe.errors import InvalidMappingError, QueryParseError
 from komohe.queries import (
+    MAX_QUERY_DEPTH,
     And,
     ExpansionConfig,
     Leaf,
@@ -235,3 +236,45 @@ class TestExpansion:
                 }
 
             assert added_terms(small) <= added_terms(large)
+
+
+def nested_not(depth):
+    node = leaf("a")
+    for _ in range(depth):
+        node = Not(node)
+    return node
+
+
+def nested_and_or(depth):
+    node = leaf("a")
+    for i in range(depth):
+        node = (And if i % 2 else Or)((node, leaf(f"b{i}")))
+    return node
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize("build", [nested_not, nested_and_or])
+    def test_round_trip_at_the_cap(self, build):
+        ast = build(MAX_QUERY_DEPTH)
+        assert parse_query(render_query(ast)) == ast
+        with pytest.raises(QueryParseError):
+            parse_query(render_query(build(MAX_QUERY_DEPTH + 1)))
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("(" * 400 + "a" + ")" * 400, MAX_QUERY_DEPTH),
+            ("NOT " * 3000 + "a", 4 * MAX_QUERY_DEPTH),
+        ],
+    )
+    def test_too_deep_is_a_parse_error(self, text, position):
+        with pytest.raises(QueryParseError) as exc:
+            parse_query(text)
+        assert exc.value.position == position
+
+    def test_expand_and_render_at_the_cap(self, sixrow):
+        ast = parse_query("NOT " * (MAX_QUERY_DEPTH - 1) + "hacker")
+        expanded, trace = expand_query(ast, sixrow.store, ExpansionConfig(expand_under_not=True))
+        assert len(trace) == 1
+        tail = '("hacker" OR "hacking")' + ")" * (MAX_QUERY_DEPTH - 1)
+        assert render_query(expanded).endswith(tail)

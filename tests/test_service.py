@@ -243,3 +243,16 @@ class TestEndpoints:
         get_error(base_url, "/expand?q=%28%28%28")
         status, _ = get(base_url, "/vocabularies")
         assert status == 200
+
+
+class TestBadInputIs400:
+    def test_deep_query(self, base_url):
+        for query in ("%28" * 400 + "a" + "%29" * 400, "NOT%20" * 3000 + "a"):
+            status, body = get_error(base_url, f"/expand?q={query}")
+            assert status == 400
+            assert isinstance(body["position"], int)
+
+    def test_null_relation_cannot_be_requested(self, base_url):
+        status, body = get_error(base_url, "/terms/A/isdn%20device/mappings?relation=0")
+        assert status == 400
+        assert "relation 0" in body["error"]

@@ -127,3 +127,15 @@ class TestImport:
         report = import_skos(data.store, io.StringIO(text), "a", "b")
         assert report.mappings_added == 1
         assert not report.errors
+
+
+class TestJoinInTerm:
+    def test_target_term_with_join_is_a_line_error(self):
+        dataset = Dataset.empty()
+        text = f"<urn:kos:A:x> <{SKOS_NS}exactMatch> <urn:kos:B:a%20%2B%20b> .\n"
+        report = import_skos(dataset.store, text, "A", "B")
+        assert report.mappings_added == 0
+        assert [line_no for line_no, _ in report.errors] == [1]
+        # the line was rejected before anything was registered
+        assert dataset.registry.vocabularies() == []
+        assert dataset.store.crosswalks() == []

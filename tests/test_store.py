@@ -386,3 +386,39 @@ def test_random_round_trip_export_import_identity():
         }
 
     assert triples(first.store) == triples(second.store)
+
+
+class TestCombinationJoinInTerms:
+    @pytest.mark.parametrize(
+        "target",
+        [
+            Concept.single("a + b"),
+            Concept.combination(["a +", "b"]),
+            Concept.combination(["a", "b + c"]),
+        ],
+    )
+    def test_target_that_would_split_differently_is_rejected(self, target):
+        with pytest.raises(InvalidMappingError):
+            Mapping(source=Concept.single("x"), relation=RelationType.EQ, target=target)
+
+    def test_join_free_targets_survive_a_round_trip(self):
+        reg = VocabularyRegistry()
+        store = CrosswalkStore(reg)
+        reg.ensure_vocabulary("a")
+        reg.ensure_vocabulary("b")
+        store.create_crosswalk("a", "b")
+        reg.add_term("a", "x + y")  # only target columns are split
+        for term in ("+ c", "d +", "e+f", "+"):
+            reg.add_term("b", term)
+        targets = (Concept.combination(["+ c", "+"]), Concept.single("d +"), Concept.single("e+f"))
+        for target in targets:
+            store.add_mapping("a-b", Mapping(Concept.single("x + y"), RelationType.EQ, target))
+        text = store.export_tsv()
+        again = CrosswalkStore(VocabularyRegistry())
+        assert not again.import_tsv(text).errors
+        assert again.export_tsv() == text
+        assert [m.target.terms for m in again.crosswalk("a-b").mappings] == [
+            ("+ c", "+"),
+            ("d +",),
+            ("e+f",),
+        ]
