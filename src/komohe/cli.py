@@ -274,9 +274,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         config.host = args.host
     if args.port is not None:
         config.port = args.port
-    if args.data:
-        config.data_paths = [Path(args.data)]
-    if not config.data_paths:
+    if args.data or not config.data_paths:
         config.data_paths = [data_dir(args)]
     return serve(config)
 
@@ -329,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query")
     p.add_argument("--relations", default="=", help="comma-separated relation symbols")
     p.add_argument("--vocabs", help="comma-separated target vocabulary ids")
-    p.add_argument("--max", type=int, default=32, help="max added terms per leaf")
+    max_terms = ExpansionConfig.max_terms_per_leaf
+    p.add_argument("--max", type=int, default=max_terms, help="max added terms per leaf")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("translate", help="equivalent terms in another language")

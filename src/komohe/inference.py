@@ -89,31 +89,33 @@ def infer_pivot(
     if second_hop is None:
         raise NotFoundError(f"no crosswalk {pivot_vocab!r} -> {target_vocab!r}")
 
-    by_pivot_term: dict[str, list] = {}
-    for m2 in second_hop.mappings:
+    first_id, second_id = first_hop.id, second_hop.id
+    # pivot term -> (1-based position, mapping) in the second hop
+    by_pivot_term: dict[str, list[tuple[int, Mapping]]] = {}
+    for position2, m2 in enumerate(second_hop.mappings, start=1):
         if m2.target is not None and m2.target.is_single:
-            by_pivot_term.setdefault(m2.source.terms[0], []).append(m2)
+            by_pivot_term.setdefault(m2.source.terms[0], []).append((position2, m2))
 
     best: dict[tuple, InferredMapping] = {}
-    for m1 in first_hop.mappings:
+    for position1, m1 in enumerate(first_hop.mappings, start=1):
         if m1.target is None or not m1.target.is_single:
             continue
-        for m2 in by_pivot_term.get(m1.target.terms[0], ()):
+        for position2, m2 in by_pivot_term.get(m1.target.terms[0], ()):
             relation = compose_relations(m1.relation, m2.relation)
             if relation is None:
                 continue
-            inferred = InferredMapping(
-                source=m1.source,
-                target=m2.target,
-                relation=relation,
-                confidence=combined_confidence(m1.rating, m2.rating),
-                path=(m1.mapping_id, m2.mapping_id),
-                pivot_vocab=pivot_vocab,
-            )
-            key = (inferred.source.terms, relation, inferred.target.terms)
+            confidence = combined_confidence(m1.rating, m2.rating)
+            key = (m1.source.terms, relation, m2.target.terms)
             current = best.get(key)
-            if current is None or inferred.confidence.rank > current.confidence.rank:
-                best[key] = inferred
+            if current is None or confidence.rank > current.confidence.rank:
+                best[key] = InferredMapping(
+                    source=m1.source,
+                    target=m2.target,
+                    relation=relation,
+                    confidence=confidence,
+                    path=(f"{first_id}:{position1}", f"{second_id}:{position2}"),
+                    pivot_vocab=pivot_vocab,
+                )
     return sorted(
         best.values(),
         key=lambda m: (m.source.terms, m.relation.value, m.target.terms),

@@ -128,8 +128,7 @@ class VocabularyRegistry:
         if existing is not None:
             return existing
         vocabulary = Vocabulary(id=vocab_id, language=language)
-        self._vocabularies[vocab_id] = vocabulary
-        self._terms[vocab_id] = {}
+        self.register_vocabulary(vocabulary)
         return vocabulary
 
     def vocabulary(self, vocab_id: str) -> Vocabulary:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import logging
 import signal
-import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -37,7 +36,7 @@ class ServiceConfig:
     port: int = 8080
     data_paths: list[Path] = field(default_factory=list)
     read_timeout: float = 30.0
-    max_expansion_terms: int = 32
+    max_expansion_terms: int = ExpansionConfig.max_terms_per_leaf
 
     def __post_init__(self) -> None:
         # port 0 asks the OS for an ephemeral port
@@ -46,25 +45,30 @@ class ServiceConfig:
 
     @classmethod
     def from_file(cls, path: Path) -> "ServiceConfig":
-        """Flat key=value config; blank lines and `#` comments ignored."""
-        values: dict[str, str] = {}
+        """Flat key=value config; blank lines and `#` comments ignored, unknown keys rejected."""
+        values: dict[str, object] = {}
         for line in path.read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise InvalidMappingError(f"bad config line {line!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
-        config = cls(
-            host=values.get("host", "127.0.0.1"),
-            port=int(values.get("port", "8080")),
-            read_timeout=float(values.get("read_timeout", "30")),
-            max_expansion_terms=int(values.get("max_expansion_terms", "32")),
-        )
-        if "data" in values:
-            config.data_paths = [Path(p) for p in values["data"].split(",") if p]
-        return config
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise InvalidMappingError(f"unknown config key {key!r}")
+            name, parse = _CONFIG_KEYS[key]
+            values[name] = parse(value)
+        return cls(**values)
+
+
+# config-file key -> (ServiceConfig field, parser of the value text)
+_CONFIG_KEYS = {
+    "host": ("host", str),
+    "port": ("port", int),
+    "data": ("data_paths", lambda text: [Path(p) for p in text.split(",") if p]),
+    "read_timeout": ("read_timeout", float),
+    "max_expansion_terms": ("max_expansion_terms", int),
+}
 
 
 class _BadRequest(KomoheError):
@@ -92,8 +96,9 @@ def _rating_json(rating: RelevanceRating) -> str | None:
 class KomoheRequestHandler(BaseHTTPRequestHandler):
     """Routes GET requests onto the module operations; never raises."""
 
-    dataset: Dataset  # set on the subclass built by build_server
-    max_expansion_terms: int = 32
+    # both set on the subclass built by build_server
+    dataset: Dataset
+    max_expansion_terms: int
     protocol_version = "HTTP/1.1"
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
@@ -277,22 +282,13 @@ def serve(config: ServiceConfig) -> int:
         sum(s.mapping_count for s in totals.values()),
     )
     server = build_server(dataset, config)
-    stop = threading.Event()
-
-    def request_shutdown(signum, frame):  # noqa: ARG001
-        logger.info("signal %d received, shutting down", signum)
-        stop.set()
-
-    signal.signal(signal.SIGINT, request_shutdown)
-    signal.signal(signal.SIGTERM, request_shutdown)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    # SIGTERM stops the service the way Ctrl-C (SIGINT) does
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     logger.info("serving on %s:%d", *server.server_address[:2])
     try:
-        while not stop.is_set():
-            stop.wait(0.2)
+        server.serve_forever()
+    except KeyboardInterrupt:
+        logger.info("shutting down")
     finally:
-        server.shutdown()
         server.server_close()
-        thread.join(timeout=5)
     return 0

@@ -18,7 +18,7 @@ from typing import IO, Iterable
 from urllib.parse import quote, unquote
 
 from .errors import InvalidTermError, KomoheError
-from .store import Concept, CrosswalkStore, Mapping, RelationType, RelevanceRating
+from .store import CrosswalkStore, RelationType, RelevanceRating
 
 logger = logging.getLogger(__name__)
 
@@ -118,7 +118,6 @@ def import_skos(
     if isinstance(stream, str):
         stream = StringIO(stream)
     report = SkosImportReport()
-    crosswalk = None
     for line_no, line in enumerate(stream, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -149,19 +148,10 @@ def import_skos(
             )
             continue
         try:
-            mapping = Mapping(
-                source=Concept.single(source_term),
-                relation=relation,
-                target=Concept.single(target_term),
-                rating=RelevanceRating.UNRATED,
+            store.add_row(
+                source_vocab, source_term, relation, target_vocab, [target_term],
+                RelevanceRating.UNRATED,
             )
-            if crosswalk is None:
-                store.registry.ensure_vocabulary(source_vocab)
-                store.registry.ensure_vocabulary(target_vocab)
-                crosswalk, _ = store.ensure_crosswalk(source_vocab, target_vocab)
-            store.registry.intern_term(source_vocab, mapping.source.terms[0], source_term)
-            store.registry.intern_term(target_vocab, mapping.target.terms[0], target_term)
-            store.add_mapping(crosswalk.id, mapping)
         except KomoheError as exc:
             report.errors.append((line_no, str(exc)))
             continue

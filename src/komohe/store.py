@@ -17,7 +17,7 @@ back the same way is an invalid mapping. target_terms and rating are empty
 for relation 0; lines starting with `#` are ignored. On export, null rows
 keep the target vocabulary in column 4 so every line is attributable to its
 crosswalk; on import an empty column 4 on a null row falls back to the last
-crosswalk seen for that source vocabulary.
+target vocabulary named for that source vocabulary.
 
 One loader builds the store; once loading has finished, any number of
 threads may read it, and nothing writes it again, so it needs no lock.
@@ -25,7 +25,7 @@ threads may read it, and nothing writes it again, so it needs no lock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable
 
@@ -115,10 +115,7 @@ class Concept:
     @classmethod
     def combination(cls, terms: Iterable[str]) -> "Concept":
         """A 1:n target concept; a one-element combination is a plain single."""
-        normalized = tuple(normalize_term(t) for t in terms)
-        if not normalized:
-            raise InvalidTermError("combination needs at least one term")
-        return cls(normalized)
+        return cls(tuple(normalize_term(t) for t in terms))
 
     @property
     def is_single(self) -> bool:
@@ -141,7 +138,6 @@ class Mapping:
     relation: RelationType
     target: Concept | None = None
     rating: RelevanceRating = RelevanceRating.UNRATED
-    mapping_id: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.source.is_single:
@@ -286,7 +282,7 @@ class CrosswalkStore:
     # mappings
 
     def add_mapping(self, crosswalk_id: str, mapping: Mapping) -> str:
-        """Store a mapping; returns the assigned mapping id.
+        """Store a mapping; returns its id, `<crosswalk id>:<1-based position>`.
 
         The source term must be registered in the source vocabulary and all
         target members in the target vocabulary. Duplicate (source,
@@ -306,15 +302,40 @@ class CrosswalkStore:
                     )
         if mapping.triple in crosswalk._triples:
             raise ConflictError(f"duplicate mapping {mapping.label!r} in {crosswalk_id!r}")
-        mapping_id = f"{crosswalk_id}:{len(crosswalk.mappings) + 1}"
-        stored = replace(mapping, mapping_id=mapping_id)
-        crosswalk.mappings.append(stored)
-        crosswalk._triples.add(stored.triple)
-        self._by_source.setdefault(source_term, {}).setdefault(crosswalk_id, []).append(stored)
-        if stored.target is not None:
-            for member in stored.target.terms:
-                self._by_target.setdefault(member, {}).setdefault(crosswalk_id, []).append(stored)
-        return mapping_id
+        crosswalk.mappings.append(mapping)
+        crosswalk._triples.add(mapping.triple)
+        self._by_source.setdefault(source_term, {}).setdefault(crosswalk_id, []).append(mapping)
+        if mapping.target is not None:
+            for member in mapping.target.terms:
+                self._by_target.setdefault(member, {}).setdefault(crosswalk_id, []).append(mapping)
+        return f"{crosswalk_id}:{len(crosswalk.mappings)}"
+
+    def add_row(
+        self,
+        source_vocab: str,
+        source_term: str,
+        relation: RelationType,
+        target_vocab: str,
+        target_terms: list[str],
+        rating: RelevanceRating,
+    ) -> bool:
+        """Store one TSV or SKOS row; returns whether it created its crosswalk.
+
+        The mapping is validated before its vocabularies, crosswalk and
+        display terms are registered (auto-registered when unknown).
+        """
+        source = Concept.single(source_term)
+        target = Concept.combination(target_terms) if target_terms else None
+        mapping = Mapping(source=source, relation=relation, target=target, rating=rating)
+        self.registry.ensure_vocabulary(source_vocab)
+        self.registry.ensure_vocabulary(target_vocab)
+        crosswalk, created = self.ensure_crosswalk(source_vocab, target_vocab)
+        self.registry.intern_term(source_vocab, source.terms[0], source_term)
+        if target is not None:
+            for normalized, display in zip(target.terms, target_terms):
+                self.registry.intern_term(target_vocab, normalized, display)
+        self.add_mapping(crosswalk.id, mapping)
+        return created
 
     def mappings_from(
         self,
@@ -390,12 +411,12 @@ class CrosswalkStore:
             raise FormatError(f"bad header {header!r}; expected {TSV_HEADER!r}")
 
         report = ImportReport()
-        # source vocab -> crosswalk last used for it; context for null rows
-        # whose target vocabulary column is empty.
-        last_crosswalk_for: dict[str, Crosswalk] = {}
+        # source vocab -> target vocab last named for it; context for null
+        # rows whose target vocabulary column is empty.
+        last_target_for: dict[str, str] = {}
         for line_no, line in lines:
             try:
-                created = self._import_line(line, last_crosswalk_for)
+                created = self._import_line(line, last_target_for)
             except KomoheError as exc:
                 report.errors.append((line_no, str(exc)))
                 continue
@@ -403,11 +424,8 @@ class CrosswalkStore:
             report.crosswalks_created += created
         return report
 
-    def _import_line(self, line: str, last_crosswalk_for: dict[str, Crosswalk]) -> bool:
-        """Store one data line; returns whether it created a crosswalk.
-
-        Every field is parsed and normalized before anything is registered.
-        """
+    def _import_line(self, line: str, last_target_for: dict[str, str]) -> bool:
+        """Check one data line's columns and store it through add_row."""
         fields = line.split("\t")
         if len(fields) > 6:
             extra = fields[6:]
@@ -421,43 +439,24 @@ class CrosswalkStore:
 
         relation = RelationType.parse(relation_sym)
         rating = RelevanceRating.parse(rating_text)
-        source = Concept.single(source_term)
-        members = target_terms.split(COMBINATION_JOIN)
+        members = target_terms.split(COMBINATION_JOIN) if target_terms.strip() else []
         if relation is RelationType.NULL:
-            if target_terms.strip():
+            if members:
                 raise InvalidMappingError("null relation cannot carry target terms")
-            target = None
-        else:
-            if not target_terms.strip():
-                raise InvalidMappingError(f"relation {relation.value!r} requires target terms")
-            if not target_vocab:
-                raise InvalidMappingError("missing target vocabulary")
-            target = Concept.combination(members)
-        mapping = Mapping(source=source, relation=relation, target=target, rating=rating)
+        elif not members:
+            raise InvalidMappingError(f"relation {relation.value!r} requires target terms")
+        elif not target_vocab:
+            raise InvalidMappingError("missing target vocabulary")
         if not source_vocab:
             raise InvalidMappingError("missing source vocabulary")
-
-        self.registry.ensure_vocabulary(source_vocab)
-        if target_vocab:
-            self.registry.ensure_vocabulary(target_vocab)
-        if relation is RelationType.NULL and not target_vocab:
-            crosswalk = last_crosswalk_for.get(source_vocab)
-            if crosswalk is None:
-                raise InvalidMappingError(
-                    "null row has no target vocabulary and no preceding "
-                    f"crosswalk for source vocabulary {source_vocab!r}"
-                )
-            created = False
-        else:
-            crosswalk, created = self.ensure_crosswalk(source_vocab, target_vocab)
-        last_crosswalk_for[source_vocab] = crosswalk
-
-        self.registry.intern_term(source_vocab, source.terms[0], source_term)
-        if target is not None:
-            for normalized, display in zip(target.terms, members):
-                self.registry.intern_term(crosswalk.target_vocab, normalized, display)
-        self.add_mapping(crosswalk.id, mapping)
-        return created
+        target_vocab = target_vocab or last_target_for.get(source_vocab, "")
+        if not target_vocab:
+            raise InvalidMappingError(
+                "null row has no target vocabulary and no preceding "
+                f"crosswalk for source vocabulary {source_vocab!r}"
+            )
+        last_target_for[source_vocab] = target_vocab
+        return self.add_row(source_vocab, source_term, relation, target_vocab, members, rating)
 
     def export_tsv(self, crosswalk_ids: Iterable[str] | None = None) -> str:
         """Render crosswalks as TSV; re-importing reproduces the store.
@@ -472,11 +471,8 @@ class CrosswalkStore:
             selected = [self.crosswalk(cid) for cid in crosswalk_ids]
         out = [TSV_HEADER]
         for crosswalk in selected:
-            ordered = sorted(
-                enumerate(crosswalk.mappings), key=lambda im: (im[1].source.terms[0], im[0])
-            )
             out.extend(
                 tsv_row(crosswalk.source_vocab, mapping, crosswalk.target_vocab)
-                for _, mapping in ordered
+                for mapping in sorted(crosswalk.mappings, key=lambda m: m.source.terms[0])
             )
         return "\n".join(out) + "\n"

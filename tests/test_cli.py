@@ -1,9 +1,16 @@
 import json
 import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from http.client import HTTPConnection
 from pathlib import Path
 
 import pytest
 
+import komohe
 from komohe import cli
 
 from conftest import CORPUS_TSV, SIXROW_TSV
@@ -216,6 +223,43 @@ class TestServeCommand:
         monkeypatch.setattr(cli, "serve", lambda config: seen.append(config) or 0)
         assert run(loaded, "serve", "--port", "0") == 0
         assert seen[0].port == 0
+
+    def test_unknown_config_key_is_error(self, loaded, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "serve", lambda config: pytest.fail("unknown key accepted"))
+        config = tmp_path / "serve.conf"
+        config.write_text("port=0\nmax_expansion_term=8\n", encoding="utf-8")
+        assert run(loaded, "serve", "--config", str(config)) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_sigterm_stops_the_service(self, loaded, tmp_path):
+        src = str(Path(komohe.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        argv = ["--data", str(loaded), "serve", "--port", "0"]
+        log = tmp_path / "serve.log"
+        with log.open("w", encoding="utf-8") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", "from komohe.cli import main; main()", *argv],
+                stdout=subprocess.DEVNULL,
+                stderr=err,
+                env=env,
+            )
+        try:
+            deadline = time.monotonic() + 30
+            while not (bound := re.search(r"serving on [^:\s]+:(\d+)", log.read_text("utf-8"))):
+                assert proc.poll() is None and time.monotonic() < deadline, log.read_text("utf-8")
+                time.sleep(0.05)
+            conn = HTTPConnection("127.0.0.1", int(bound.group(1)), timeout=10)
+            conn.request("GET", "/vocabularies")
+            assert conn.getresponse().status == 200
+            conn.close()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert "shutting down" in log.read_text("utf-8")
 
 
 class TestRobustness:

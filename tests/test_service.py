@@ -84,6 +84,12 @@ class TestServiceConfig:
         assert config.data_paths == [Path("/srv/komohe"), Path("/srv/extra")]
         assert config.max_expansion_terms == 8
 
+    def test_from_file_unknown_key(self, tmp_path):
+        path = tmp_path / "service.conf"
+        path.write_text("port = 9090\nmax_expansion_term = 8\n")
+        with pytest.raises(InvalidMappingError, match="max_expansion_term"):
+            ServiceConfig.from_file(path)
+
     def test_from_file_bad_line(self, tmp_path):
         path = tmp_path / "service.conf"
         path.write_text("host 0.0.0.0\n")

@@ -285,6 +285,41 @@ class TestTsvImport:
         assert store.registry.has_vocabulary("swd")
         assert store.registry.lookup_term("lcsh", "Computer Science") is not None
 
+    def test_rejected_lines_register_nothing(self):
+        text = (
+            f"{TSV_HEADER}\n"
+            "X\tfoo\t0\t\t\t\n"  # null row without context
+            "a\tx\t?\tb\ty\thigh\n"  # bad relation
+            "a\t \t=\tb\ty\thigh\n"  # empty source term
+            "a\tx\t=\tb\tp +  + q\thigh\n"  # empty combination member
+            "a\tx\t=\t\ty\thigh\n"  # missing target vocabulary
+            "\tx\t=\tb\ty\thigh\n"  # missing source vocabulary
+        )
+        store = CrosswalkStore(VocabularyRegistry())
+        report = store.import_tsv(text)
+        assert [no for no, _ in report.errors] == [2, 3, 4, 5, 6, 7]
+        assert store.registry.vocabularies() == []
+        assert store.crosswalks() == []
+
+
+class TestAddRow:
+    def test_validates_before_registering(self):
+        store = CrosswalkStore(VocabularyRegistry())
+        with pytest.raises(InvalidMappingError):
+            store.add_row("a", "x", RelationType.EQ, "b", ["p + q"], RelevanceRating.HIGH)
+        assert store.registry.vocabularies() == []
+
+    def test_registers_vocabularies_crosswalk_and_display_terms(self):
+        store = CrosswalkStore(VocabularyRegistry())
+        targets = ["Computers", "Crime"]
+        assert store.add_row("a", " Hacker ", RelationType.EQ, "b", targets, RelevanceRating.HIGH)
+        assert not store.add_row("a", "isdn", RelationType.NULL, "b", [], RelevanceRating.UNRATED)
+        assert store.registry.lookup_term("a", "hacker").display == "Hacker"
+        assert store.registry.lookup_term("b", "crime").display == "Crime"
+        (cw, mapping), = store.mappings_from("hacker")
+        assert cw.id == "a-b" and mapping.target.terms == ("computers", "crime")
+        assert len(cw.mappings) == 2
+
 
 class TestTsvExport:
     def test_empty_store_is_header_only(self):
