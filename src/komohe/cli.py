@@ -4,8 +4,7 @@ Machine-readable results go to stdout, diagnostics to stderr. Exit codes:
 0 success, 1 domain error, 2 usage error.
 
 The working data lives in a directory (flag --data, else $KOMOHE_DATA,
-else ./komohe-data) holding one `<vocab>.terms` file per vocabulary and a
-canonical `crosswalks.tsv`. Mutating commands rewrite both.
+else ./komohe-data) laid out by komohe.dataset. Mutating commands rewrite it.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ import logging
 import os
 import sys
 from pathlib import Path
-from urllib.parse import quote
 
 from .assessment import load_corpus, sample_assessment
-from .dataset import Dataset, translate
+from .dataset import Dataset, save_dataset, translate
 from .errors import KomoheError
 from .inference import detect_variant_mappings, export_inferred_tsv, infer_pivot
 from .queries import ExpansionConfig, expand_query, parse_query, render_query
@@ -30,7 +28,6 @@ from .store import RelationType, RelevanceRating, parse_relations, tsv_row
 logger = logging.getLogger(__name__)
 
 DATA_ENV = "KOMOHE_DATA"
-CROSSWALKS_FILE = "crosswalks.tsv"
 
 
 def data_dir(args: argparse.Namespace) -> Path:
@@ -44,24 +41,6 @@ def load_dataset(args: argparse.Namespace) -> Dataset:
     if not directory.exists():
         return Dataset.empty()
     return Dataset.load([directory])
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Replace path in one step, so a crash leaves the old file or the new one."""
-    temp = path.with_name(path.name + ".tmp")
-    with temp.open("w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(temp, path)
-
-
-def save_dataset(dataset: Dataset, directory: Path) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    for vocab in dataset.registry.vocabularies():
-        filename = quote(vocab.id, safe="") + ".terms"
-        _write_atomic(directory / filename, dataset.registry.export_terms(vocab.id))
-    _write_atomic(directory / CROSSWALKS_FILE, dataset.store.export_tsv())
 
 
 def _print_mapping_rows(results) -> None:
@@ -187,19 +166,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 def cmd_variants(args: argparse.Namespace) -> int:
     dataset = load_dataset(args)
-    for conflict in detect_variant_mappings(dataset.store, args.target):
-        print(
-            "\t".join(
-                (
-                    conflict.term,
-                    conflict.vocab_pair[0],
-                    conflict.vocab_pair[1],
-                    conflict.target_vocab,
-                    conflict.targets[0].label,
-                    conflict.targets[1].label,
-                )
-            )
-        )
+    for c in detect_variant_mappings(dataset.store, args.target):
+        labels = (target.label for target in c.targets)
+        print("\t".join((c.term, *c.vocab_pair, c.target_vocab, *labels)))
     return 0
 
 

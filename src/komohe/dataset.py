@@ -1,4 +1,4 @@
-"""A loaded vocabulary registry and crosswalk store, and term translation over it.
+"""A loaded registry and crosswalk store, its data directory, and translation.
 
 A Dataset is built by one loader (Dataset.load, or a CLI command that then
 saves it) and only read afterwards: the HTTP service loads it once and
@@ -8,14 +8,19 @@ serves it to concurrent readers, and a reload is a restart.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import quote
 
 from .errors import NotFoundError
 from .registry import VocabularyRegistry
 from .store import CrosswalkStore, RelationType, RelevanceRating
 
 logger = logging.getLogger(__name__)
+
+CROSSWALKS_FILE = "crosswalks.tsv"
+LOGGED_ERRORS = 5  # rejected lines quoted in a file's load warning
 
 
 @dataclass
@@ -32,10 +37,13 @@ class Dataset:
 
     @classmethod
     def load(cls, paths: list[Path]) -> "Dataset":
-        """Load term-list (*.terms) and crosswalk (*.tsv) files.
+        """Load data directories, term-list (*.terms) and crosswalk TSV files.
 
-        Directories are scanned (sorted); term lists load before crosswalks
-        so vocabulary metadata wins over auto-registration.
+        A directory contributes its *.terms files (sorted) and its
+        crosswalks.tsv, and other files in it are ignored; term lists load
+        before crosswalks so vocabulary metadata wins over auto-registration.
+        Each file with rejected lines gets one warning: their count and the
+        first few.
         """
         dataset = cls.empty()
         term_files: list[Path] = []
@@ -43,7 +51,8 @@ class Dataset:
         for path in paths:
             if path.is_dir():
                 term_files.extend(sorted(path.glob("*.terms")))
-                tsv_files.extend(sorted(path.glob("*.tsv")))
+                if (path / CROSSWALKS_FILE).exists():
+                    tsv_files.append(path / CROSSWALKS_FILE)
             elif path.suffix == ".terms":
                 term_files.append(path)
             else:
@@ -53,10 +62,31 @@ class Dataset:
                 dataset.registry.import_terms(fh)
         for path in tsv_files:
             with path.open(encoding="utf-8") as fh:
-                report = dataset.store.import_tsv(fh)
-            for line_no, reason in report.errors:
-                logger.warning("%s:%d: %s", path, line_no, reason)
+                errors = dataset.store.import_tsv(fh).errors
+            if errors:
+                first = "; ".join(f"{path}:{n}: {reason}" for n, reason in errors[:LOGGED_ERRORS])
+                logger.warning("%s: %d lines rejected, first: %s", path, len(errors), first)
         return dataset
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace path in one step, so a crash leaves the old file or the new one."""
+    temp = path.with_name(path.name + ".tmp")
+    with temp.open("w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(temp, path)
+
+
+def save_dataset(dataset: Dataset, directory: Path) -> None:
+    """Write one `<vocab>.terms` file per vocabulary (the id percent-encoded)
+    and crosswalks.tsv: the data directory Dataset.load reads back."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for vocab in dataset.registry.vocabularies():
+        filename = quote(vocab.id, safe="") + ".terms"
+        _write_atomic(directory / filename, dataset.registry.export_terms(vocab.id))
+    _write_atomic(directory / CROSSWALKS_FILE, dataset.store.export_tsv())
 
 
 @dataclass(frozen=True)

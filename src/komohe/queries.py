@@ -341,21 +341,3 @@ def expand_query(
         raise TypeError(f"not a query node: {node!r}")
 
     return walk(node, False), trace
-
-
-__all__ = [
-    "AddedTerm",
-    "And",
-    "ExpansionConfig",
-    "ExpansionTrace",
-    "Leaf",
-    "LeafExpansion",
-    "MAX_QUERY_DEPTH",
-    "Node",
-    "Not",
-    "Or",
-    "expand_query",
-    "leaf",
-    "parse_query",
-    "render_query",
-]

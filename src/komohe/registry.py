@@ -74,6 +74,9 @@ def _validate_vocab_id(vocab_id: str) -> None:
         raise InvalidTermError("vocabulary id must be non-empty")
     if any(ch.isspace() for ch in vocab_id):
         raise InvalidTermError(f"vocabulary id {vocab_id!r} contains whitespace")
+    if vocab_id.startswith("#"):
+        # its crosswalk rows would read back as comments
+        raise InvalidTermError(f"vocabulary id {vocab_id!r} starts with '#'")
 
 
 @dataclass
@@ -166,9 +169,10 @@ class VocabularyRegistry:
         existing = terms.get(normalized)
         if existing is not None:
             return existing
-        # Outer whitespace would not survive an export/import cycle,
-        # so trim it; inner spacing is part of the display form.
-        term = Term(vocabulary=vocab_id, normalized=normalized, display=display.strip())
+        # Outer whitespace and line breaks would not survive a term-list
+        # save and reload; other inner spacing is part of the display form.
+        display = " ".join(display.strip().splitlines())
+        term = Term(vocabulary=vocab_id, normalized=normalized, display=display)
         terms[normalized] = term
         return term
 
@@ -188,8 +192,9 @@ class VocabularyRegistry:
     # ------------------------------------------------------------------
     # Term-list files: UTF-8, LF-terminated, one display term per line.
     # Line 1 is `#terms <vocab-id>`, optionally followed by key=value
-    # metadata (lang=, name=, discipline=). Blank lines and `#` lines after
-    # the header are ignored.
+    # metadata (lang=, name=, discipline=), shell-quoted. Blank lines and `#`
+    # lines after the header are ignored; outer whitespace on a line is not
+    # part of the term.
     # ------------------------------------------------------------------
 
     def import_terms(self, stream: IO[str] | Iterable[str], vocab_id: str | None = None) -> int:
@@ -208,16 +213,15 @@ class VocabularyRegistry:
                 f"term list is for vocabulary {file_vocab!r}, not {vocab_id!r}"
             )
         meta = dict(f.split("=", 1) for f in fields[2:] if "=" in f)
-        if self.has_vocabulary(file_vocab):
-            vocab = self.vocabulary(file_vocab)
-        else:
-            vocab = Vocabulary(
-                id=file_vocab,
-                name=meta.get("name", ""),
-                language=meta.get("lang", "en"),
-                discipline=meta.get("discipline", ""),
+        if not self.has_vocabulary(file_vocab):
+            self.register_vocabulary(
+                Vocabulary(
+                    id=file_vocab,
+                    name=meta.get("name", ""),
+                    language=meta.get("lang", "en"),
+                    discipline=meta.get("discipline", ""),
+                )
             )
-            self.register_vocabulary(vocab)
         before = self.term_count(file_vocab)
         for _, line in lines:
             self.add_term(file_vocab, line)
@@ -226,11 +230,15 @@ class VocabularyRegistry:
     def export_terms(self, vocab_id: str) -> str:
         """Render a vocabulary as a term-list file (display forms, sorted by key)."""
         vocab = self.vocabulary(vocab_id)
-        header = f"{TERMS_HEADER} {vocab.id} lang={vocab.language}"
+        header = f"{TERMS_HEADER} {shlex.quote(vocab.id)} lang={vocab.language}"
         if vocab.name and vocab.name != vocab.id:
             header += f" name={shlex.quote(vocab.name)}"
         if vocab.discipline:
             header += f" discipline={shlex.quote(vocab.discipline)}"
         lines = [header]
-        lines.extend(term.display for term in self.terms(vocab_id))
+        # a leading space, trimmed on reload, keeps `#...` from reading as a comment
+        lines.extend(
+            f" {term.display}" if term.display.startswith("#") else term.display
+            for term in self.terms(vocab_id)
+        )
         return "\n".join(lines) + "\n"

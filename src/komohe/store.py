@@ -37,7 +37,7 @@ from .errors import (
     KomoheError,
     NotFoundError,
 )
-from .registry import VocabularyRegistry, normalize_term, read_numbered_lines
+from .registry import Vocabulary, VocabularyRegistry, normalize_term, read_numbered_lines
 
 TSV_HEADER = "#komohe-tsv v1"
 COMBINATION_JOIN = " + "
@@ -238,12 +238,18 @@ class CrosswalkStore:
     # crosswalk management
 
     def create_crosswalk(self, source_vocab: str, target_vocab: str) -> Crosswalk:
+        crosswalk = self._new_crosswalk(source_vocab, target_vocab)
+        self.registry.vocabulary(source_vocab)
+        self.registry.vocabulary(target_vocab)
+        self._crosswalks[crosswalk.id] = crosswalk
+        return crosswalk
+
+    def _new_crosswalk(self, source_vocab: str, target_vocab: str) -> Crosswalk:
+        """An unstored crosswalk; raises unless the two differ and its id is free."""
         if source_vocab == target_vocab:
             raise InvalidMappingError(
                 f"crosswalk source and target must differ (got {source_vocab!r})"
             )
-        self.registry.vocabulary(source_vocab)
-        self.registry.vocabulary(target_vocab)
         crosswalk = Crosswalk(source_vocab, target_vocab)
         existing = self._crosswalks.get(crosswalk.id)
         if existing is not None:
@@ -253,7 +259,6 @@ class CrosswalkStore:
                     f"{existing.source_vocab!r}->{existing.target_vocab!r}"
                 )
             raise ConflictError(f"crosswalk {crosswalk.id!r} already exists")
-        self._crosswalks[crosswalk.id] = crosswalk
         return crosswalk
 
     def ensure_crosswalk(self, source_vocab: str, target_vocab: str) -> tuple[Crosswalk, bool]:
@@ -321,15 +326,22 @@ class CrosswalkStore:
     ) -> bool:
         """Store one TSV or SKOS row; returns whether it created its crosswalk.
 
-        The mapping is validated before its vocabularies, crosswalk and
-        display terms are registered (auto-registered when unknown).
+        The mapping, and for a new crosswalk both vocabulary ids, their
+        difference and the crosswalk id, are checked before anything is
+        registered; unknown vocabularies and terms are then auto-registered.
         """
         source = Concept.single(source_term)
         target = Concept.combination(target_terms) if target_terms else None
         mapping = Mapping(source=source, relation=relation, target=target, rating=rating)
-        self.registry.ensure_vocabulary(source_vocab)
-        self.registry.ensure_vocabulary(target_vocab)
-        crosswalk, created = self.ensure_crosswalk(source_vocab, target_vocab)
+        crosswalk = self.find_crosswalk(source_vocab, target_vocab)
+        created = crosswalk is None
+        if created:
+            crosswalk = self._new_crosswalk(source_vocab, target_vocab)
+            vocabularies = [Vocabulary(source_vocab), Vocabulary(target_vocab)]  # checks the ids
+            for vocabulary in vocabularies:
+                if not self.registry.has_vocabulary(vocabulary.id):
+                    self.registry.register_vocabulary(vocabulary)
+            self._crosswalks[crosswalk.id] = crosswalk
         self.registry.intern_term(source_vocab, source.terms[0], source_term)
         if target is not None:
             for normalized, display in zip(target.terms, target_terms):
@@ -440,15 +452,8 @@ class CrosswalkStore:
         relation = RelationType.parse(relation_sym)
         rating = RelevanceRating.parse(rating_text)
         members = target_terms.split(COMBINATION_JOIN) if target_terms.strip() else []
-        if relation is RelationType.NULL:
-            if members:
-                raise InvalidMappingError("null relation cannot carry target terms")
-        elif not members:
-            raise InvalidMappingError(f"relation {relation.value!r} requires target terms")
-        elif not target_vocab:
+        if relation is not RelationType.NULL and not target_vocab:
             raise InvalidMappingError("missing target vocabulary")
-        if not source_vocab:
-            raise InvalidMappingError("missing source vocabulary")
         target_vocab = target_vocab or last_target_for.get(source_vocab, "")
         if not target_vocab:
             raise InvalidMappingError(

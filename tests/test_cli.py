@@ -54,6 +54,16 @@ class TestImportExport:
         assert text.startswith("#komohe-tsv v1\n")
         assert "A\thacker\t=\tB\thacking\thigh" in text
 
+    def test_stray_tsv_in_data_dir_is_ignored(self, loaded, capsys):
+        (loaded / "corpus.tsv").write_text(CORPUS_TSV, encoding="utf-8")
+        assert run(loaded, "lookup", "hacker", "--relation", "=") == 0
+        assert capsys.readouterr().out == "A\thacker\t=\tB\thacking\thigh\n"
+
+    def test_data_dir_functions_stay_on_cli(self):
+        # the benchmark's tracer wraps both names on komohe.cli
+        assert cli.save_dataset is komohe.dataset.save_dataset
+        assert callable(cli.load_dataset)
+
     def test_import_missing_file_is_error(self, datadir, capsys):
         assert run(datadir, "import", "/no/such/file.tsv") == 1
         assert "error:" in capsys.readouterr().err

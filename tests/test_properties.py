@@ -1,4 +1,8 @@
-"""Property tests: TSV round trips, normalization, and the shared line reader."""
+"""Property tests: TSV, SKOS and data-dir round trips, normalization, the
+shared line reader, and the /expand route on fuzzed queries."""
+
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -7,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from komohe.assessment import load_corpus
-from komohe.errors import ConflictError, InvalidMappingError, InvalidTermError
+from komohe.dataset import Dataset, save_dataset
+from komohe.errors import ConflictError, InvalidMappingError, InvalidTermError, KomoheError
 from komohe.registry import VocabularyRegistry, normalize_term, read_numbered_lines
+from komohe.service import KomoheRequestHandler
+from komohe.skos import export_skos, import_skos
 from komohe.store import (
     COMBINATION_JOIN,
     Concept,
@@ -17,6 +24,8 @@ from komohe.store import (
     RelationType,
     RelevanceRating,
 )
+
+from conftest import SIXROW_TSV
 
 PROPERTY = settings(deadline=None)
 
@@ -107,3 +116,96 @@ def test_reader_numbers_lines_alike_for_every_format(layout):
     assert [n for n, _ in report.errors] == bad_lines
     assert [n for n, _ in load_corpus(texts["corpus"]).errors] == bad_lines
     assert VocabularyRegistry().import_terms(texts["terms"]) == len(data_lines)
+
+
+# vocabulary ids from an alphabet holding the id rules' edge cases: `-`
+# joins two ids into a crosswalk id, a leading `#` starts a comment, a
+# space is rejected, quotes and backslashes need quoting in a term-list
+# header, and non-ASCII ids are percent-encoded in file names
+VOCAB_ID = st.text(alphabet="ab-# '\"\\é中.", max_size=4)
+# display forms with line breaks, which no term-list line can hold
+DISPLAY = st.lists(st.one_of(TERM, st.sampled_from(["\n", "\r\n", "\r"])), min_size=1, max_size=3).map(
+    "".join
+)
+FILE_ROW = st.tuples(
+    VOCAB_ID,
+    DISPLAY,
+    st.sampled_from(list(RelationType)),
+    VOCAB_ID,
+    st.lists(DISPLAY, max_size=2),
+    st.sampled_from(list(RelevanceRating)),
+)
+
+
+@PROPERTY
+@given(st.lists(FILE_ROW, max_size=20))
+def test_saved_data_dir_reloads_to_the_same_store(rows):
+    dataset = Dataset.empty()
+    for row in rows:
+        try:
+            dataset.store.add_row(*row)
+        except KomoheError:
+            continue
+    with tempfile.TemporaryDirectory() as directory:
+        save_dataset(dataset, Path(directory))
+        again = Dataset.load([Path(directory)])
+    assert again.store.export_tsv() == dataset.store.export_tsv()
+    ids = [v.id for v in dataset.registry.vocabularies()]
+    assert [v.id for v in again.registry.vocabularies()] == ids
+    for vocab_id in ids:
+        assert again.registry.export_terms(vocab_id) == dataset.registry.export_terms(vocab_id)
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(
+            TERM,
+            st.sampled_from(list(RelationType)),
+            st.lists(TERM, max_size=2),
+            st.sampled_from(list(RelevanceRating)),
+        ),
+        max_size=20,
+    )
+)
+def test_skos_round_trip_keeps_single_target_mappings(rows):
+    store = CrosswalkStore(VocabularyRegistry())
+    for source, relation, members, rating in rows:
+        try:
+            store.add_row("a", source, relation, "b", members, rating)
+        except KomoheError:
+            continue
+    expected = {
+        m.triple
+        for cw in store.crosswalks()
+        for m in cw.mappings
+        if m.target is not None and m.target.is_single
+    }
+    again = CrosswalkStore(VocabularyRegistry())
+    report = import_skos(again, export_skos(store).text, "a", "b")
+    assert report.errors == []
+    got = [m for cw in again.crosswalks() for m in cw.mappings]
+    assert len(got) == len(expected) and {m.triple for m in got} == expected
+    assert all(m.rating is RelevanceRating.UNRATED for m in got)
+
+
+EXPAND_DATASET = Dataset.empty()
+EXPAND_DATASET.store.import_tsv(SIXROW_TSV)
+QUERY_PARTS = ["(", ")", '"', " ", "AND", "OR", "NOT", "hacker", "isdn", "\t", "\u0301", "ß"]
+QUERY = st.lists(st.one_of(st.text(max_size=3), st.sampled_from(QUERY_PARTS)), max_size=12).map(
+    " ".join
+)
+
+
+@PROPERTY
+@given(st.one_of(QUERY, st.text()))
+def test_expand_route_answers_or_raises_a_domain_error(text):
+    # do_GET answers a KomoheError with 400 or 404; anything else is a 500
+    handler = KomoheRequestHandler.__new__(KomoheRequestHandler)
+    handler.dataset = EXPAND_DATASET
+    handler.max_expansion_terms = 4
+    try:
+        payload, status = handler.route(["expand"], {"q": [text]})
+    except KomoheError:
+        return
+    assert status == 200 and payload["expanded"]

@@ -56,6 +56,12 @@ class TestVocabulary:
         with pytest.raises(InvalidTermError):
             Vocabulary("")
 
+    def test_rejects_leading_hash_in_id(self):
+        # a TSV row starting with `#` is a comment, so such an id would not reload
+        with pytest.raises(InvalidTermError):
+            Vocabulary("#x")
+        assert Vocabulary("x#").id == "x#"
+
     def test_rejects_unknown_language_code(self):
         with pytest.raises(InvalidTermError):
             Vocabulary("x", language="zz")
@@ -174,4 +180,16 @@ class TestTermFiles:
         assert other.vocabulary("swd").language == "de"
         assert [t.display for t in other.terms("swd")] == [
             t.display for t in reg.terms("swd")
+        ]
+
+    def test_export_reloads_quoted_ids_and_awkward_display_forms(self):
+        reg = VocabularyRegistry()
+        reg.ensure_vocabulary('a"b')
+        for display in ["#Hashtag", "  #Spaced", "Two\nLines", "Crlf\r\nEnd", "plain"]:
+            reg.add_term('a"b', display)
+        assert reg.lookup_term('a"b', "two lines").display == "Two Lines"
+        other = VocabularyRegistry()
+        other.import_terms(io.StringIO(reg.export_terms('a"b')))
+        assert [(t.normalized, t.display) for t in other.terms('a"b')] == [
+            (t.normalized, t.display) for t in reg.terms('a"b')
         ]

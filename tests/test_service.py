@@ -1,4 +1,5 @@
 import json
+import logging
 import threading
 import urllib.error
 import urllib.request
@@ -39,7 +40,7 @@ class TestTranslate:
 class TestDatasetLoad:
     def test_load_directory(self, tmp_path):
         (tmp_path / "a.terms").write_text("#terms swd lang=de\nSoziologie\n")
-        (tmp_path / "cw.tsv").write_text(
+        (tmp_path / "crosswalks.tsv").write_text(
             "#komohe-tsv v1\nswd\tsoziologie\t=\tlcsh\tsociology\thigh\n"
         )
         data = Dataset.load([tmp_path])
@@ -49,11 +50,34 @@ class TestDatasetLoad:
     def test_terms_metadata_wins_over_autoregistration(self, tmp_path):
         # crosswalk auto-registers swd as english unless the terms file loads first
         (tmp_path / "z.terms").write_text("#terms swd lang=de\nSoziologie\n")
-        (tmp_path / "a.tsv").write_text(
+        (tmp_path / "crosswalks.tsv").write_text(
             "#komohe-tsv v1\nswd\tsoziologie\t=\tlcsh\tsociology\thigh\n"
         )
         data = Dataset.load([tmp_path])
         assert data.registry.vocabulary("swd").language == "de"
+
+    def test_directory_ignores_other_files(self, tmp_path):
+        (tmp_path / "crosswalks.tsv").write_text(
+            "#komohe-tsv v1\nswd\tsoziologie\t=\tlcsh\tsociology\thigh\n"
+        )
+        (tmp_path / "corpus.tsv").write_text(CORPUS_TSV)
+        (tmp_path / "notes.txt").write_text("not komohe data\n")
+        data = Dataset.load([tmp_path])
+        assert len(data.store.mappings_from("soziologie")) == 1
+        # an explicitly named file loads whatever its name
+        extra = tmp_path / "extra.tsv"
+        extra.write_text("#komohe-tsv v1\nswd\tbildung\t=\tlcsh\teducation\thigh\n")
+        assert len(Dataset.load([extra]).store.mappings_from("bildung")) == 1
+
+    def test_rejected_lines_get_one_summary_per_file(self, tmp_path, caplog):
+        bad = "".join(f"a\tx{i}\t?\tb\ty\thigh\n" for i in range(50))
+        (tmp_path / "crosswalks.tsv").write_text("#komohe-tsv v1\n" + bad)
+        with caplog.at_level(logging.WARNING, logger="komohe"):
+            Dataset.load([tmp_path])
+        assert 1 <= len(caplog.records) <= 6
+        assert "50 lines rejected" in caplog.text
+        assert "crosswalks.tsv:6:" in caplog.text  # the first five: lines 2 to 6
+        assert "crosswalks.tsv:7:" not in caplog.text
 
 
 class TestServiceConfig:

@@ -294,12 +294,21 @@ class TestTsvImport:
             "a\tx\t=\tb\tp +  + q\thigh\n"  # empty combination member
             "a\tx\t=\t\ty\thigh\n"  # missing target vocabulary
             "\tx\t=\tb\ty\thigh\n"  # missing source vocabulary
+            "A\tx\t=\tA\ty\t\n"  # same vocabulary on both sides
+            "A\tx\t=\tB C\ty\t\n"  # target vocabulary id with whitespace
         )
         store = CrosswalkStore(VocabularyRegistry())
         report = store.import_tsv(text)
-        assert [no for no, _ in report.errors] == [2, 3, 4, 5, 6, 7]
+        assert [no for no, _ in report.errors] == [2, 3, 4, 5, 6, 7, 8, 9]
         assert store.registry.vocabularies() == []
         assert store.crosswalks() == []
+
+    def test_crosswalk_id_collision_registers_nothing(self):
+        store = CrosswalkStore(VocabularyRegistry())
+        report = store.import_tsv(f"{TSV_HEADER}\na\tx\t=\tb-c\ty\t\na-b\tx\t=\tc\ty\t\n")
+        assert [no for no, _ in report.errors] == [3]
+        assert [v.id for v in store.registry.vocabularies()] == ["a", "b-c"]
+        assert [cw.id for cw in store.crosswalks()] == ["a-b-c"]
 
 
 class TestAddRow:
@@ -308,6 +317,14 @@ class TestAddRow:
         with pytest.raises(InvalidMappingError):
             store.add_row("a", "x", RelationType.EQ, "b", ["p + q"], RelevanceRating.HIGH)
         assert store.registry.vocabularies() == []
+
+    def test_hash_vocabulary_id_registers_nothing(self):
+        store = CrosswalkStore(VocabularyRegistry())
+        for source, target in [("#x", "B"), ("B", "#x")]:
+            with pytest.raises(InvalidTermError):
+                store.add_row(source, "a", RelationType.EQ, target, ["b"], RelevanceRating.UNRATED)
+        assert store.registry.vocabularies() == []
+        assert store.crosswalks() == []
 
     def test_registers_vocabularies_crosswalk_and_display_terms(self):
         store = CrosswalkStore(VocabularyRegistry())
