@@ -154,10 +154,9 @@ def sample_assessment(
     candidates = [m for m in crosswalk.mappings if m.relation is not RelationType.NULL]
     k = min(sample_size, len(candidates))
     rng = random.Random(seed)
-    chosen = set(rng.sample(candidates, k))
-    ordered = [m for m in candidates if m in chosen]
+    chosen = [candidates[i] for i in sorted(rng.sample(range(len(candidates)), k))]
     report = AssessmentReport(crosswalk_id=crosswalk_id, sample_size=k)
-    for mapping in ordered:
+    for mapping in chosen:
         result = assess_mapping(mapping, crosswalk.source_vocab, crosswalk.target_vocab, corpus)
         report.rows.append(AssessmentRow(mapping=mapping, result=result))
     return report

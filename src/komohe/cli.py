@@ -23,7 +23,7 @@ from .queries import ExpansionConfig, expand_query, parse_query, render_query
 from .registry import Vocabulary
 from .service import ServiceConfig, serve
 from .skos import export_skos, import_skos
-from .store import RelationType, RelevanceRating, parse_relations, tsv_row
+from .store import RelationType, RelevanceRating, parse_relations, split_list, tsv_row
 
 logger = logging.getLogger(__name__)
 
@@ -121,7 +121,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
     dataset = load_dataset(args)
     config = ExpansionConfig(
         relations=frozenset(parse_relations(args.relations)),
-        target_vocabs=frozenset(args.vocabs.split(",")) if args.vocabs else None,
+        target_vocabs=frozenset(split_list(args.vocabs)) if args.vocabs else None,
         max_terms_per_leaf=args.max,
     )
     ast = parse_query(args.query)

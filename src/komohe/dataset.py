@@ -110,38 +110,31 @@ def translate(
     The term is resolved in every vocabulary of the source language (or all
     vocabularies when unspecified); single-term equivalence targets in
     target-language vocabularies are returned, deduplicated per (vocab,
-    term) keeping the best rating, ordered by rating then term.
+    term) keeping the best rating (at equal rating, the first source
+    vocabulary by id), ordered by rating then term.
     """
-    if not dataset.registry.vocabularies_by_language(target_lang):
+    registry = dataset.registry
+    if not registry.vocabularies_by_language(target_lang):
         raise NotFoundError(f"no vocabulary with language {target_lang!r}")
-    if source_lang is None:
-        source_vocabs = dataset.registry.vocabularies()
-    else:
-        source_vocabs = dataset.registry.vocabularies_by_language(source_lang)
-
+    found = dataset.store.mappings_from(term, relations={RelationType.EQ})
     best: dict[tuple[str, str], TranslationCandidate] = {}
-    for vocab in source_vocabs:
-        found = dataset.registry.lookup_term(vocab.id, term)
-        if found is None:
+    # crosswalk-id order is not source-vocabulary order once ids hold "-"
+    for crosswalk, mapping in sorted(found, key=lambda row: row[0].source_vocab):
+        if not mapping.target.is_single:  # an EQ mapping always has a target
             continue
-        for crosswalk, mapping in dataset.store.mappings_from(
-            found.normalized,
-            source_vocab=vocab.id,
-            relations={RelationType.EQ},
-        ):
-            target_vocab = dataset.registry.vocabulary(crosswalk.target_vocab)
-            if target_vocab.language != target_lang:
-                continue
-            if mapping.target is None or not mapping.target.is_single:
-                continue
-            candidate = TranslationCandidate(
-                term=mapping.target.terms[0],
-                vocab=crosswalk.target_vocab,
-                rating=mapping.rating,
-                path=crosswalk.id,
-            )
-            key = (candidate.vocab, candidate.term)
-            current = best.get(key)
-            if current is None or candidate.rating.rank > current.rating.rank:
-                best[key] = candidate
+        if registry.vocabulary(crosswalk.target_vocab).language != target_lang:
+            continue
+        source = registry.vocabulary(crosswalk.source_vocab)
+        if source_lang is not None and source.language != source_lang:
+            continue
+        candidate = TranslationCandidate(
+            term=mapping.target.terms[0],
+            vocab=crosswalk.target_vocab,
+            rating=mapping.rating,
+            path=crosswalk.id,
+        )
+        key = (candidate.vocab, candidate.term)
+        current = best.get(key)
+        if current is None or candidate.rating.rank > current.rating.rank:
+            best[key] = candidate
     return sorted(best.values(), key=lambda c: (-c.rating.rank, c.term, c.vocab))

@@ -89,37 +89,39 @@ def infer_pivot(
     if second_hop is None:
         raise NotFoundError(f"no crosswalk {pivot_vocab!r} -> {target_vocab!r}")
 
-    first_id, second_id = first_hop.id, second_hop.id
-    # pivot term -> (1-based position, mapping) in the second hop
-    by_pivot_term: dict[str, list[tuple[int, Mapping]]] = {}
-    for position2, m2 in enumerate(second_hop.mappings, start=1):
-        if m2.target is not None and m2.target.is_single:
-            by_pivot_term.setdefault(m2.source.terms[0], []).append((position2, m2))
-
-    best: dict[tuple, InferredMapping] = {}
+    # (source, relation symbol, target) -> (confidence, relation, first-hop position, m1, m2)
+    best: dict[tuple, tuple[RelevanceRating, RelationType, int, Mapping, Mapping]] = {}
     for position1, m1 in enumerate(first_hop.mappings, start=1):
         if m1.target is None or not m1.target.is_single:
             continue
-        for position2, m2 in by_pivot_term.get(m1.target.terms[0], ()):
+        for m2 in second_hop.by_source.get(m1.target.terms[0], ()):
+            if m2.target is None or not m2.target.is_single:
+                continue
             relation = compose_relations(m1.relation, m2.relation)
             if relation is None:
                 continue
             confidence = combined_confidence(m1.rating, m2.rating)
-            key = (m1.source.terms, relation, m2.target.terms)
+            key = (m1.source.terms, relation.value, m2.target.terms)
             current = best.get(key)
-            if current is None or confidence.rank > current.confidence.rank:
-                best[key] = InferredMapping(
-                    source=m1.source,
-                    target=m2.target,
-                    relation=relation,
-                    confidence=confidence,
-                    path=(f"{first_id}:{position1}", f"{second_id}:{position2}"),
-                    pivot_vocab=pivot_vocab,
-                )
-    return sorted(
-        best.values(),
-        key=lambda m: (m.source.terms, m.relation.value, m.target.terms),
-    )
+            if current is None or confidence.rank > current[0].rank:
+                best[key] = (confidence, relation, position1, m1, m2)
+    if not best:
+        return []
+
+    position2 = {id(m): i for i, m in enumerate(second_hop.mappings, start=1)}
+    first_id, second_id = first_hop.id, second_hop.id
+    # the keys are unique, so sorting the items never compares their values
+    return [
+        InferredMapping(
+            source=m1.source,
+            target=m2.target,
+            relation=relation,
+            confidence=confidence,
+            path=(f"{first_id}:{position1}", f"{second_id}:{position2[id(m2)]}"),
+            pivot_vocab=pivot_vocab,
+        )
+        for _, (confidence, relation, position1, m1, m2) in sorted(best.items())
+    ]
 
 
 def export_inferred_tsv(

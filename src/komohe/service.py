@@ -25,7 +25,7 @@ from .dataset import Dataset, translate
 from .errors import InvalidMappingError, KomoheError, NotFoundError, QueryParseError
 from .queries import ExpansionConfig, expand_query, parse_query, render_query
 from .registry import ISO_639_1
-from .store import RelationType, RelevanceRating, parse_relations
+from .store import RelationType, RelevanceRating, parse_relations, split_list
 
 logger = logging.getLogger(__name__)
 
@@ -151,9 +151,7 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
     def handle_mappings(
         self, vocab_id: str, term: str, params: dict[str, list[str]]
     ) -> tuple[dict, int]:
-        registry = self.dataset.registry
-        registry.vocabulary(vocab_id)  # 404 for unknown vocabulary
-        if registry.lookup_term(vocab_id, term) is None:
+        if self.dataset.registry.lookup_term(vocab_id, term) is None:  # 404s an unknown vocabulary
             raise NotFoundError(f"term {term!r} not found in {vocab_id!r}")
         relations = None
         if params.get("relation", [""])[0]:
@@ -189,9 +187,7 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
             relations = frozenset(_parse_relations(params["relations"][0]))
         vocabs = None
         if params.get("vocabs", [""])[0]:
-            vocabs = frozenset(
-                v.strip() for v in params["vocabs"][0].split(",") if v.strip()
-            )
+            vocabs = frozenset(split_list(params["vocabs"][0]))
         max_terms = self.max_expansion_terms
         if params.get("max", [""])[0]:
             try:
@@ -274,12 +270,12 @@ def serve(config: ServiceConfig) -> int:
     if not config.data_paths:
         raise KomoheError("service needs at least one data path")
     dataset = Dataset.load(config.data_paths)
-    totals = dataset.store.stats()
+    crosswalks = dataset.store.crosswalks()
     logger.info(
         "loaded %d vocabularies, %d crosswalks, %d mappings",
         len(dataset.registry.vocabularies()),
-        len(totals),
-        sum(s.mapping_count for s in totals.values()),
+        len(crosswalks),
+        sum(len(cw.mappings) for cw in crosswalks),
     )
     server = build_server(dataset, config)
     # SIGTERM stops the service the way Ctrl-C (SIGINT) does

@@ -3,14 +3,13 @@
 Crosswalk relations map onto the four SKOS mapping predicates; null
 mappings and combination targets have no SKOS counterpart and are skipped
 (counted in the export report). Concept URIs are derived from the registry:
-`urn:kos:<vocab-id>:<percent-encoded normalized term>`. Relevance ratings
-carry no standard SKOS property and are dropped; imports come back
-unrated. TSV stays the lossless format.
+`urn:kos:<vocab id>:<normalized term>`, both parts percent-encoded.
+Relevance ratings carry no standard SKOS property and are dropped; imports
+come back unrated. TSV stays the lossless format.
 """
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 from io import StringIO
@@ -19,8 +18,6 @@ from urllib.parse import quote, unquote
 
 from .errors import InvalidTermError, KomoheError
 from .store import CrosswalkStore, RelationType, RelevanceRating
-
-logger = logging.getLogger(__name__)
 
 SKOS_NS = "http://www.w3.org/2004/02/skos/core#"
 URN_PREFIX = "urn:kos:"
@@ -37,8 +34,8 @@ _TRIPLE_RE = re.compile(r"^<([^<>]*)>\s+<([^<>]*)>\s+<([^<>]*)>\s*\.$")
 
 
 def concept_uri(vocab_id: str, term: str) -> str:
-    """URN for a single-term concept; the term part is fully percent-encoded."""
-    return f"{URN_PREFIX}{vocab_id}:{quote(term, safe='')}"
+    """URN for a single-term concept; the id and the term are fully percent-encoded."""
+    return f"{URN_PREFIX}{quote(vocab_id, safe='')}:{quote(term, safe='')}"
 
 
 def parse_concept_uri(uri: str) -> tuple[str, str]:
@@ -49,7 +46,7 @@ def parse_concept_uri(uri: str) -> tuple[str, str]:
     vocab_id, sep, encoded = rest.rpartition(":")
     if not sep or not vocab_id or not encoded:
         raise InvalidTermError(f"malformed concept URI {uri!r}")
-    return vocab_id, unquote(encoded)
+    return unquote(vocab_id), unquote(encoded)
 
 
 @dataclass
@@ -113,7 +110,7 @@ def import_skos(
 
     Malformed lines and URIs naming other vocabularies are reported per
     line; triples with predicates outside the four mapping predicates are
-    skipped with a warning.
+    skipped and listed in the report.
     """
     if isinstance(stream, str):
         stream = StringIO(stream)
@@ -129,7 +126,6 @@ def import_skos(
         subject, predicate, obj = match.groups()
         relation = PREDICATE_TO_RELATION.get(predicate)
         if relation is None:
-            logger.warning("line %d: skipping unsupported predicate %s", line_no, predicate)
             report.skipped_predicates.append((line_no, predicate))
             continue
         try:

@@ -177,7 +177,8 @@ class Crosswalk:
     source_vocab: str
     target_vocab: str
     mappings: list[Mapping] = field(default_factory=list)
-    _triples: set = field(default_factory=set, repr=False)
+    # source term -> its mappings in order: the lists of the store's forward index
+    by_source: dict[str, list[Mapping]] = field(default_factory=dict, repr=False)
 
     @property
     def id(self) -> str:
@@ -185,7 +186,8 @@ class Crosswalk:
 
     def contains(self, mapping: Mapping) -> bool:
         """True when an identical (source, relation, target) triple is stored."""
-        return mapping.triple in self._triples
+        triple = mapping.triple
+        return any(m.triple == triple for m in self.by_source.get(mapping.source.terms[0], ()))
 
 
 @dataclass
@@ -216,9 +218,14 @@ def tsv_row(source_vocab: str, mapping: Mapping, target_vocab: str) -> str:
     )
 
 
+def split_list(text: str) -> list[str]:
+    """The items of a comma-separated list, stripped; empty items are dropped."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 def parse_relations(text: str) -> set[RelationType]:
     """Comma-separated relation symbols such as `=,^`; empty items are skipped."""
-    relations = {RelationType.parse(s.strip()) for s in text.split(",") if s.strip()}
+    relations = {RelationType.parse(symbol) for symbol in split_list(text)}
     if not relations:
         raise InvalidMappingError(f"no relation symbols in {text!r}")
     return relations
@@ -305,11 +312,14 @@ class CrosswalkStore:
                     raise NotFoundError(
                         f"term {member!r} not registered in {crosswalk.target_vocab!r}"
                     )
-        if mapping.triple in crosswalk._triples:
+        if crosswalk.contains(mapping):
             raise ConflictError(f"duplicate mapping {mapping.label!r} in {crosswalk_id!r}")
         crosswalk.mappings.append(mapping)
-        crosswalk._triples.add(mapping.triple)
-        self._by_source.setdefault(source_term, {}).setdefault(crosswalk_id, []).append(mapping)
+        same_source = crosswalk.by_source.get(source_term)
+        if same_source is None:
+            same_source = crosswalk.by_source[source_term] = []
+            self._by_source.setdefault(source_term, {})[crosswalk_id] = same_source
+        same_source.append(mapping)
         if mapping.target is not None:
             for member in mapping.target.terms:
                 self._by_target.setdefault(member, {}).setdefault(crosswalk_id, []).append(mapping)

@@ -134,3 +134,34 @@ def brute_force_pivot(store, source_vocab: str, target_vocab: str, pivot_vocab: 
         (source, relation, target, conf)
         for (source, relation, target), conf in best.items()
     }
+
+
+# ----------------------------------------------------------------------
+# Brute-force translation. Walks every crosswalk's raw mapping list for
+# single-target equivalences of the (normalized) term between vocabularies
+# of the requested languages. Per (target vocabulary, target term) the best
+# rating wins, and at equal rating the smaller source vocabulary id.
+
+
+def brute_force_translate(registry, crosswalks, term: str, target_lang: str, source_lang=None):
+    """(term, vocab, rating, path) rows ordered by rating, then term, then vocab."""
+    found: dict = {}
+    for cw in crosswalks:
+        if registry.vocabulary(cw.target_vocab).language != target_lang:
+            continue
+        if source_lang is not None and registry.vocabulary(cw.source_vocab).language != source_lang:
+            continue
+        for m in cw.mappings:
+            if m.relation is not RelationType.EQ or m.source.terms != (term,):
+                continue
+            if len(m.target.terms) != 1:
+                continue
+            target = m.target.terms[0]
+            found.setdefault((cw.target_vocab, target), []).append(
+                (-_RANKS[m.rating], cw.source_vocab, m.rating, cw.id)
+            )
+    rows = []
+    for (vocab, target), candidates in found.items():
+        neg_rank, _, rating, path = min(candidates, key=lambda c: c[:2])
+        rows.append((neg_rank, target, vocab, rating, path))
+    return [(target, vocab, rating, path) for _, target, vocab, rating, path in sorted(rows)]

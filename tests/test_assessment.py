@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 
@@ -9,7 +10,8 @@ from komohe.assessment import (
     sample_assessment,
 )
 from komohe.errors import FormatError, InvalidMappingError, NotFoundError
-from komohe.store import Concept, Mapping, RelationType, RelevanceRating
+from komohe.registry import VocabularyRegistry
+from komohe.store import Concept, CrosswalkStore, Mapping, RelationType, RelevanceRating
 
 from conftest import CORPUS_TSV
 
@@ -109,6 +111,20 @@ class TestSampleAssessment:
         order = {m: i for i, m in enumerate(sixrow.store.crosswalks()[0].mappings)}
         indexes = [order[row.mapping] for row in report.rows]
         assert indexes == sorted(indexes)
+
+    def test_same_rows_as_a_set_based_selection(self, corpus):
+        store = CrosswalkStore(VocabularyRegistry())
+        for i in range(40):
+            relation = RelationType.NULL if i % 7 == 0 else RelationType.EQ
+            target = [] if relation is RelationType.NULL else [f"t{i}"]
+            store.add_row("A", f"s{i}", relation, "B", target, RelevanceRating.HIGH)
+        mappings = store.crosswalk("A-B").mappings
+        candidates = [m for m in mappings if m.relation is not RelationType.NULL]
+        for seed in range(21):
+            chosen = set(random.Random(seed).sample(candidates, 9))
+            expected = [m for m in candidates if m in chosen]
+            report = sample_assessment(store, "A-B", corpus, sample_size=9, seed=seed)
+            assert [row.mapping for row in report.rows] == expected
 
     def test_bad_inputs(self, sixrow, corpus):
         with pytest.raises(InvalidMappingError):

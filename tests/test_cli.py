@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import re
 import signal
@@ -126,6 +127,20 @@ class TestExpand:
         assert run(loaded, "expand", "((broken") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_vocabs_items_are_stripped(self, datadir, tmp_path, capsys):
+        tsv = tmp_path / "two.tsv"
+        tsv.write_text(
+            "#komohe-tsv v1\nA\thacker\t=\tB\thacking\thigh\nA\thacker\t=\tC\tpiratage\thigh\n",
+            encoding="utf-8",
+        )
+        assert run(datadir, "import", str(tsv)) == 0
+        capsys.readouterr()
+        assert run(datadir, "expand", "hacker", "--vocabs", "B,C") == 0
+        plain = capsys.readouterr().out
+        assert plain == '("hacker" OR "hacking" OR "piratage")\n'
+        assert run(datadir, "expand", "hacker", "--vocabs", "B, C") == 0
+        assert capsys.readouterr().out == plain
+
 
 class TestInfer:
     CHAIN = (
@@ -155,6 +170,18 @@ class TestInfer:
         assert run(datadir, "lookup", "hacker") == 0
         out = capsys.readouterr().out
         assert "a\thacker\t=\tc\tcomputer crime\tmedium" in out
+
+    def test_promote_twice_adds_nothing_the_second_time(self, datadir, tmp_path, capsys):
+        tsv = tmp_path / "chain.tsv"
+        tsv.write_text(self.CHAIN, encoding="utf-8")
+        run(datadir, "import", str(tsv))
+        args = ("infer", "--from", "a", "--to", "c", "--via", "b", "--promote")
+        assert run(datadir, *args) == 0
+        assert "promoted 1 mappings into a-c" in capsys.readouterr().err
+        saved = (datadir / "crosswalks.tsv").read_bytes()
+        assert run(datadir, *args) == 0
+        assert "promoted 0 mappings into a-c" in capsys.readouterr().err
+        assert (datadir / "crosswalks.tsv").read_bytes() == saved
 
     def test_missing_crosswalk_is_error(self, loaded, capsys):
         assert run(loaded, "infer", "--from", "A", "--to", "X", "--via", "B") == 1
@@ -194,6 +221,16 @@ class TestSkos:
         assert cli.run(["--data", str(fresh), "skos-import", str(nt_file), "--source", "A", "--target", "B"]) == 0
         out = capsys.readouterr().out
         assert "mappings_added\t3" in out
+
+    def test_skipped_predicate_is_reported_once(self, datadir, tmp_path, capsys, caplog):
+        close_match = "http://www.w3.org/2004/02/skos/core#closeMatch"
+        nt = tmp_path / "close.nt"
+        nt.write_text(f"<urn:kos:A:x> <{close_match}> <urn:kos:B:y> .\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="komohe"):
+            assert run(datadir, "skos-import", str(nt), "--source", "A", "--target", "B") == 0
+        err_lines = [line for line in capsys.readouterr().err.splitlines() if "closeMatch" in line]
+        assert err_lines == [f"{nt}:1: skipped predicate {close_match}"]
+        assert [r for r in caplog.records if r.name == "komohe.skos"] == []
 
 
 class TestStats:

@@ -1,5 +1,6 @@
 import json
 import logging
+import random
 import threading
 import urllib.error
 import urllib.request
@@ -7,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from komohe.errors import InvalidMappingError, NotFoundError
+from komohe.errors import ConflictError, InvalidMappingError, NotFoundError
+from komohe.registry import Vocabulary, VocabularyRegistry
 from komohe.service import Dataset, ServiceConfig, build_server, translate
-from komohe.store import RelevanceRating
+from komohe.store import CrosswalkStore, RelationType, RelevanceRating
 
 from conftest import CORPUS_TSV, SIXROW_TSV
+from oracles import brute_force_translate
 
 
 class TestTranslate:
@@ -35,6 +38,46 @@ class TestTranslate:
 
     def test_unknown_term_is_empty(self, bilingual):
         assert translate(bilingual, "ghost", "en") == []
+
+    def test_tie_goes_to_the_smaller_source_vocabulary(self):
+        # crosswalk ids sort the other way: "a-b-z" < "a-z"
+        dataset = Dataset.empty()
+        for source in ("a-b", "a"):
+            dataset.store.add_row(source, "x", RelationType.EQ, "z", ["y"], RelevanceRating.HIGH)
+        [candidate] = translate(dataset, "X", "en")
+        assert candidate.path == "a-z"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        registry = VocabularyRegistry()
+        languages = {"a": "de", "a-b": "de", "q": "de", "y": "en", "z": "en"}
+        for vocab_id, language in languages.items():
+            registry.register_vocabulary(Vocabulary(vocab_id, language=language))
+        dataset = Dataset(registry, CrosswalkStore(registry))
+        vocab_ids = [v.id for v in registry.vocabularies()]
+        terms = ["t1", "t2", "t3"]
+        relations = [RelationType.EQ, RelationType.EQ, RelationType.ASSOC, RelationType.NULL]
+        for _ in range(80):
+            source, target = rng.sample(vocab_ids, 2)
+            relation = rng.choice(relations)
+            size = 0 if relation is RelationType.NULL else rng.choice((1, 1, 2))
+            members = rng.sample(terms, size)
+            rating = rng.choice(list(RelevanceRating))
+            try:
+                dataset.store.add_row(source, rng.choice(terms), relation, target, members, rating)
+            except ConflictError:
+                continue
+        crosswalks = dataset.store.crosswalks()
+        for term in [*terms, "ghost"]:
+            for to_lang in ("de", "en"):
+                for from_lang in (None, "de", "en"):
+                    got = [
+                        (c.term, c.vocab, c.rating, c.path)
+                        for c in translate(dataset, term.upper(), to_lang, from_lang)
+                    ]
+                    expected = brute_force_translate(registry, crosswalks, term, to_lang, from_lang)
+                    assert got == expected
 
 
 class TestDatasetLoad:

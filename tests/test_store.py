@@ -179,6 +179,22 @@ class TestAddAndQuery:
         with pytest.raises(ConflictError):
             store.add_mapping("a-b", simple_mapping(rating=RelevanceRating.LOW))
 
+    def test_near_duplicates_are_not_conflicts(self):
+        store = fresh_store()
+        cw = store.create_crosswalk("a", "b")
+        x_y = simple_mapping("x", target="y")
+        store.add_mapping("a-b", x_y)
+        near = [
+            simple_mapping("x", target="z"),  # another target
+            simple_mapping("x", relation=RelationType.ASSOC, target="y"),  # another relation
+            Mapping(Concept.single("x"), RelationType.EQ, Concept.combination(["y", "z"])),
+        ]
+        for mapping in near:
+            assert not cw.contains(mapping)
+            store.add_mapping("a-b", mapping)
+        assert all(cw.contains(m) for m in [x_y, *near])
+        assert [m for _, m in store.mappings_from("x")] == [x_y, *near]
+
     def test_same_triple_in_other_crosswalk_ok(self):
         store = fresh_store()
         store.create_crosswalk("a", "b")
