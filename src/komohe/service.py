@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import signal
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -42,6 +43,16 @@ class ServiceConfig:
         # port 0 asks the OS for an ephemeral port
         if not 0 <= self.port <= 65535:
             raise InvalidMappingError(f"port {self.port} out of range")
+        # each connection's socket raises on a negative, NaN or infinite
+        # timeout, and 0 makes it non-blocking
+        if not 0 < self.read_timeout < math.inf:
+            raise InvalidMappingError(
+                f"read_timeout {self.read_timeout} must be finite and positive"
+            )
+        if self.max_expansion_terms < 1:
+            raise InvalidMappingError(
+                f"max_expansion_terms {self.max_expansion_terms} must be at least 1"
+            )
 
     @classmethod
     def from_file(cls, path: Path) -> "ServiceConfig":
@@ -65,7 +76,7 @@ class ServiceConfig:
 _CONFIG_KEYS = {
     "host": ("host", str),
     "port": ("port", int),
-    "data": ("data_paths", lambda text: [Path(p) for p in text.split(",") if p]),
+    "data": ("data_paths", lambda text: [Path(p) for p in split_list(text)]),
     "read_timeout": ("read_timeout", float),
     "max_expansion_terms": ("max_expansion_terms", int),
 }

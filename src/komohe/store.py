@@ -2,9 +2,10 @@
 
 A crosswalk holds directed mappings from one vocabulary into another.
 Crosswalks are independent per direction: A->B and B->A coexist and need
-not agree. The store keeps forward (by source term) and reverse (by target
-member term) indexes and persists bit-exactly to a line-oriented TSV
-format.
+not agree. The store indexes mappings by source term only, the direction
+expansion, translation and pivot inference read; a reverse lookup by
+target term scans the crosswalks. It persists bit-exactly to a
+line-oriented TSV format.
 
 TSV format (UTF-8, LF):
     line 1:     #komohe-tsv v1
@@ -239,7 +240,6 @@ class CrosswalkStore:
         self._crosswalks: dict[str, Crosswalk] = {}
         # term -> crosswalk id -> mappings, insertion order preserved
         self._by_source: dict[str, dict[str, list[Mapping]]] = {}
-        self._by_target: dict[str, dict[str, list[Mapping]]] = {}
 
     # ------------------------------------------------------------------
     # crosswalk management
@@ -320,9 +320,6 @@ class CrosswalkStore:
             same_source = crosswalk.by_source[source_term] = []
             self._by_source.setdefault(source_term, {})[crosswalk_id] = same_source
         same_source.append(mapping)
-        if mapping.target is not None:
-            for member in mapping.target.terms:
-                self._by_target.setdefault(member, {}).setdefault(crosswalk_id, []).append(mapping)
         return f"{crosswalk_id}:{len(crosswalk.mappings)}"
 
     def add_row(
@@ -393,14 +390,13 @@ class CrosswalkStore:
     ) -> list[tuple[Crosswalk, Mapping]]:
         """All mappings whose target is the term or a combination containing it."""
         normalized = normalize_term(term)
-        per_crosswalk = self._by_target.get(normalized, {})
-        results: list[tuple[Crosswalk, Mapping]] = []
-        for crosswalk_id in sorted(per_crosswalk):
-            crosswalk = self._crosswalks[crosswalk_id]
-            if target_vocab is not None and crosswalk.target_vocab != target_vocab:
-                continue
-            results.extend((crosswalk, m) for m in per_crosswalk[crosswalk_id])
-        return results
+        return [
+            (crosswalk, m)
+            for crosswalk in self.crosswalks()
+            if target_vocab is None or crosswalk.target_vocab == target_vocab
+            for m in crosswalk.mappings
+            if m.target is not None and normalized in m.target.terms
+        ]
 
     def stats(self) -> dict[str, CrosswalkStats]:
         """Per-crosswalk mapping tallies by relation type and rating."""

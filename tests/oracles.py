@@ -165,3 +165,21 @@ def brute_force_translate(registry, crosswalks, term: str, target_lang: str, sou
         neg_rank, _, rating, path = min(candidates, key=lambda c: c[:2])
         rows.append((neg_rank, target, vocab, rating, path))
     return [(target, vocab, rating, path) for _, target, vocab, rating, path in sorted(rows)]
+
+
+# ----------------------------------------------------------------------
+# Brute-force reverse lookup. Walks every crosswalk's raw mapping list in
+# order and keeps each mapping one of whose target members is the
+# (normalized) term, once however many of its members that is.
+
+
+def brute_force_reverse(crosswalks, term: str, target_vocab=None):
+    """(crosswalk, mapping) rows ordered by crosswalk id, then position."""
+    rows = []
+    for cw in sorted(crosswalks, key=lambda c: c.id):
+        if target_vocab is not None and cw.target_vocab != target_vocab:
+            continue
+        for m in cw.mappings:
+            if m.target is not None and any(member == term for member in m.target.terms):
+                rows.append((cw, m))
+    return rows

@@ -315,6 +315,18 @@ class TestRobustness:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_too_many_terms_is_domain_error(self, loaded, capsys):
+        assert run(loaded, "expand", " ".join(["hacker"] * 1000)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_serve_config_it_cannot_serve_with(self, loaded, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "serve", lambda config: pytest.fail("serve was reached"))
+        config = tmp_path / "service.conf"
+        config.write_text("read_timeout = -1\n")
+        assert run(loaded, "serve", "--config", str(config)) == 1
+        assert capsys.readouterr().err.startswith("error: read_timeout")
+
     def test_lookup_null_relation(self, loaded, capsys):
         assert run(loaded, "lookup", "isdn device", "--relation", "0") == 0
         assert capsys.readouterr().out == "A\tisdn device\t0\t\t\t\n"

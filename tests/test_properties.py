@@ -26,6 +26,7 @@ from komohe.store import (
 )
 
 from conftest import SIXROW_TSV
+from oracles import brute_force_reverse
 
 PROPERTY = settings(deadline=None)
 
@@ -194,6 +195,37 @@ def test_skos_round_trip_keeps_single_target_mappings(source_vocab, target_vocab
     got = [m for cw in again.crosswalks() for m in cw.mappings]
     assert len(got) == len(expected) and {m.triple for m in got} == expected
     assert all(m.rating is RelevanceRating.UNRATED for m in got)
+
+
+REVERSE_VOCABS = ["a", "b", "a-b", "b-a"]
+REVERSE_TERMS = ["p", "q", "r"]
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(REVERSE_VOCABS),
+            st.sampled_from(REVERSE_TERMS),
+            st.sampled_from(list(RelationType)),
+            st.sampled_from(REVERSE_VOCABS),
+            st.lists(st.sampled_from(REVERSE_TERMS), max_size=3),
+            st.sampled_from(list(RelevanceRating)),
+        ),
+        max_size=30,
+    )
+)
+def test_mappings_to_matches_brute_force(rows):
+    store = CrosswalkStore(VocabularyRegistry())
+    for row in rows:
+        try:
+            store.add_row(*row)
+        except KomoheError:
+            continue
+    for term in REVERSE_TERMS:
+        for target_vocab in (None, *REVERSE_VOCABS):
+            expected = brute_force_reverse(store.crosswalks(), term, target_vocab)
+            assert store.mappings_to(term, target_vocab=target_vocab) == expected
 
 
 EXPAND_DATASET = Dataset.empty()

@@ -5,6 +5,7 @@ import pytest
 from komohe.errors import InvalidMappingError, QueryParseError
 from komohe.queries import (
     MAX_QUERY_DEPTH,
+    MAX_QUERY_LEAVES,
     And,
     ExpansionConfig,
     Leaf,
@@ -278,3 +279,20 @@ class TestNestingCap:
         assert len(trace) == 1
         tail = '("hacker" OR "hacking")' + ")" * (MAX_QUERY_DEPTH - 1)
         assert render_query(expanded).endswith(tail)
+
+
+class TestLeafCap:
+    def test_twenty_leaves_parse(self):
+        # the largest query the benchmark sends
+        text = " OR ".join(f'"term {i:05d}"' for i in range(20))
+        assert len(parse_query(text).children) == 20
+
+    @pytest.mark.parametrize("join", [" ", " OR ", ") AND ("])
+    def test_cap(self, join):
+        def text(count):
+            return "(" + join.join(f"t{i:03d}" for i in range(count)) + ")"
+
+        parse_query(text(MAX_QUERY_LEAVES))
+        with pytest.raises(QueryParseError) as exc:
+            parse_query(text(MAX_QUERY_LEAVES + 1))
+        assert exc.value.position == 1 + MAX_QUERY_LEAVES * (4 + len(join))

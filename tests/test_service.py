@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from komohe.errors import ConflictError, InvalidMappingError, NotFoundError
+from komohe.queries import MAX_QUERY_LEAVES
 from komohe.registry import Vocabulary, VocabularyRegistry
 from komohe.service import Dataset, ServiceConfig, build_server, translate
 from komohe.store import CrosswalkStore, RelationType, RelevanceRating
@@ -150,6 +151,30 @@ class TestServiceConfig:
         assert config.port == 9090
         assert config.data_paths == [Path("/srv/komohe"), Path("/srv/extra")]
         assert config.max_expansion_terms == 8
+
+    def test_from_file_strips_data_paths(self, tmp_path):
+        path = tmp_path / "service.conf"
+        path.write_text("data = /srv/komohe, /srv/extra ,\n")
+        assert ServiceConfig.from_file(path).data_paths == [Path("/srv/komohe"), Path("/srv/extra")]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("read_timeout", -1.0),
+            ("read_timeout", 0.0),
+            ("read_timeout", float("inf")),
+            ("read_timeout", float("nan")),
+            ("max_expansion_terms", 0),
+            ("max_expansion_terms", -3),
+        ],
+    )
+    def test_values_it_cannot_serve_with(self, tmp_path, field, value):
+        with pytest.raises(InvalidMappingError, match=field):
+            ServiceConfig(**{field: value})
+        path = tmp_path / "service.conf"
+        path.write_text(f"{field} = {value}\n")
+        with pytest.raises(InvalidMappingError, match=field):
+            ServiceConfig.from_file(path)
 
     def test_from_file_unknown_key(self, tmp_path):
         path = tmp_path / "service.conf"
@@ -324,6 +349,12 @@ class TestBadInputIs400:
             status, body = get_error(base_url, f"/expand?q={query}")
             assert status == 400
             assert isinstance(body["position"], int)
+
+    def test_too_many_terms(self, base_url):
+        query = "%20OR%20".join(["hacker"] * (MAX_QUERY_LEAVES + 1))
+        status, body = get_error(base_url, f"/expand?q={query}")
+        assert status == 400
+        assert body["position"] == 10 * MAX_QUERY_LEAVES
 
     def test_null_relation_cannot_be_requested(self, base_url):
         status, body = get_error(base_url, "/terms/A/isdn%20device/mappings?relation=0")

@@ -21,6 +21,7 @@ from komohe.store import (
 )
 
 from conftest import SIXROW_TSV
+from oracles import brute_force_reverse
 
 
 def fresh_store() -> CrosswalkStore:
@@ -228,6 +229,34 @@ class TestAddAndQuery:
         assert len(rows) == 1
         assert rows[0][1].target.label == "computers + crime"
         assert sixrow.store.mappings_to("crime", target_vocab="c") == []
+
+    def test_mappings_to_matches_brute_force(self):
+        store = CrosswalkStore(VocabularyRegistry())
+        rows = [
+            # `-` in a vocabulary id: crosswalk ids a-b, a-b-c and b-a-b
+            # sort by the id text, not by the vocabulary pair
+            ("a-b", "x", RelationType.EQ, "c", ["a"]),
+            ("a", "x", RelationType.EQ, "b", ["a", "a"]),  # lists `a` twice
+            ("b", "x", RelationType.ASSOC, "a-b", ["c", "a"]),
+            ("a", "y", RelationType.NULL, "b", []),
+            ("a", "z", RelationType.BROADER_TARGET, "b", ["a"]),
+            ("a-b", "y", RelationType.NARROWER_TARGET, "c", ["b", "a", "c"]),
+        ]
+        for source_vocab, source, relation, target_vocab, members in rows:
+            store.add_row(source_vocab, source, relation, target_vocab, members, RelevanceRating.HIGH)
+        crosswalks = store.crosswalks()
+        assert [cw.id for cw in crosswalks] == ["a-b", "a-b-c", "b-a-b"]
+        for term in ("a", "b", "c", "x", "y"):
+            for target_vocab in (None, "a", "b", "c", "a-b"):
+                expected = brute_force_reverse(crosswalks, term, target_vocab)
+                assert store.mappings_to(term, target_vocab=target_vocab) == expected
+        assert [(cw.id, m.label) for cw, m in store.mappings_to("A ")] == [
+            ("a-b", "x = a + a"),
+            ("a-b", "z < a"),
+            ("a-b-c", "x = a"),
+            ("a-b-c", "y > b + a + c"),
+            ("b-a-b", "x ^ c + a"),
+        ]
 
     def test_stats_zero_filled(self, sixrow):
         stats = sixrow.store.stats()["A-B"]
