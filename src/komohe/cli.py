@@ -10,6 +10,7 @@ else ./komohe-data) laid out by komohe.dataset. Mutating commands rewrite it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -235,16 +236,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    if args.config:
-        config = ServiceConfig.from_file(Path(args.config))
-    else:
-        config = ServiceConfig()
-    if args.host:
-        config.host = args.host
-    if args.port is not None:
-        config.port = args.port
-    if args.data or not config.data_paths:
-        config.data_paths = [data_dir(args)]
+    config = ServiceConfig.from_file(Path(args.config)) if args.config else ServiceConfig()
+    # replace() re-runs ServiceConfig's checks on the flag values too
+    config = dataclasses.replace(
+        config,
+        host=args.host or config.host,
+        port=config.port if args.port is None else args.port,
+        data_paths=[data_dir(args)] if args.data or not config.data_paths else config.data_paths,
+    )
     return serve(config)
 
 

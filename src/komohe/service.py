@@ -111,6 +111,12 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
     dataset: Dataset
     max_expansion_terms: int
     protocol_version = "HTTP/1.1"
+    # Buffer wfile so the status line, headers and body leave in one send
+    # when handle_one_request flushes (error paths that return early are
+    # flushed by finish()). TCP_NODELAY keeps a body larger than the buffer
+    # from waiting on the client's delayed ACK (Nagle, RFC 896).
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         try:

@@ -33,9 +33,14 @@ PREDICATE_TO_RELATION = {v: k for k, v in RELATION_TO_PREDICATE.items()}
 _TRIPLE_RE = re.compile(r"^<([^<>]*)>\s+<([^<>]*)>\s+<([^<>]*)>\s*\.$")
 
 
+def _uri_prefix(vocab_id: str) -> str:
+    """The `urn:kos:<vocab id>:` part every concept URI of a vocabulary shares."""
+    return f"{URN_PREFIX}{quote(vocab_id, safe='')}:"
+
+
 def concept_uri(vocab_id: str, term: str) -> str:
     """URN for a single-term concept; the id and the term are fully percent-encoded."""
-    return f"{URN_PREFIX}{quote(vocab_id, safe='')}:{quote(term, safe='')}"
+    return _uri_prefix(vocab_id) + quote(term, safe="")
 
 
 def parse_concept_uri(uri: str) -> tuple[str, str]:
@@ -81,6 +86,8 @@ def export_skos(store: CrosswalkStore, crosswalk_ids: Iterable[str] | None = Non
     export = SkosExport(text="")
     triples: list[tuple[str, str, str]] = []
     for crosswalk in selected:
+        source_prefix = _uri_prefix(crosswalk.source_vocab)
+        target_prefix = _uri_prefix(crosswalk.target_vocab)
         for mapping in crosswalk.mappings:
             if mapping.target is None:
                 export.skipped_null += 1
@@ -90,9 +97,9 @@ def export_skos(store: CrosswalkStore, crosswalk_ids: Iterable[str] | None = Non
                 continue
             triples.append(
                 (
-                    concept_uri(crosswalk.source_vocab, mapping.source.terms[0]),
+                    source_prefix + quote(mapping.source.terms[0], safe=""),
                     RELATION_TO_PREDICATE[mapping.relation],
-                    concept_uri(crosswalk.target_vocab, mapping.target.terms[0]),
+                    target_prefix + quote(mapping.target.terms[0], safe=""),
                 )
             )
     triples.sort()

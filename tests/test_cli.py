@@ -327,6 +327,13 @@ class TestRobustness:
         assert run(loaded, "serve", "--config", str(config)) == 1
         assert capsys.readouterr().err.startswith("error: read_timeout")
 
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_serve_port_flag_out_of_range(self, loaded, port, capsys):
+        # the flag is checked like the config key, before anything is loaded or bound
+        assert run(loaded, "serve", "--port", port) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: port {port} out of range") and "Traceback" not in err
+
     def test_lookup_null_relation(self, loaded, capsys):
         assert run(loaded, "lookup", "isdn device", "--relation", "0") == 0
         assert capsys.readouterr().out == "A\tisdn device\t0\t\t\t\n"

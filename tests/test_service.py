@@ -1,10 +1,15 @@
 import json
 import logging
 import random
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -192,12 +197,17 @@ class TestServiceConfig:
 # HTTP integration ------------------------------------------------------
 
 
-def _start(dataset):
-    config = ServiceConfig(host="127.0.0.1", port=0)  # ephemeral
+def _serve(dataset):
+    """Serve dataset on an ephemeral port; yields the base URL, then stops."""
+    config = ServiceConfig(host="127.0.0.1", port=0)
     srv = build_server(dataset, config)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
-    return srv, thread
+    host, port = srv.server_address[:2]
+    yield f"http://{host}:{port}"
+    srv.shutdown()
+    srv.server_close()
+    thread.join(timeout=5)
 
 
 def get(base: str, path: str):
@@ -218,12 +228,7 @@ def base_url():
     # the service is read-only, so all endpoint tests can share one instance
     dataset = Dataset.empty()
     assert not dataset.store.import_tsv(SIXROW_TSV).errors
-    srv, thread = _start(dataset)
-    host, port = srv.server_address[:2]
-    yield f"http://{host}:{port}"
-    srv.shutdown()
-    srv.server_close()
-    thread.join(timeout=5)
+    yield from _serve(dataset)
 
 
 class TestEndpoints:
@@ -360,3 +365,104 @@ class TestBadInputIs400:
         status, body = get_error(base_url, "/terms/A/isdn%20device/mappings?relation=0")
         assert status == 400
         assert "relation 0" in body["error"]
+
+
+# Response writes -------------------------------------------------------
+
+
+def _address(base_url: str) -> tuple[str, int]:
+    split = urlsplit(base_url)
+    return split.hostname, split.port
+
+
+@pytest.fixture(scope="module")
+def wide_url():
+    # one term with 400 mappings: its response body is far above the 8 KiB write buffer
+    dataset = Dataset.empty()
+    for i in range(400):
+        target = [f"t{i:03d}"]
+        dataset.store.add_row("W", "wide", RelationType.EQ, "X", target, RelevanceRating.HIGH)
+    yield from _serve(dataset)
+
+
+def keepalive_p50_ms(base_url: str, path: str, requests: int = 50) -> tuple[float, int]:
+    """Median latency of GETs on one kept-alive connection, and the body size."""
+    conn = HTTPConnection(*_address(base_url), timeout=10)
+    try:
+        conn.connect()
+        sock = conn.sock
+        latencies = []
+        for _ in range(requests):
+            start = time.perf_counter()
+            conn.request("GET", path)
+            response = conn.getresponse()
+            body = response.read()
+            latencies.append((time.perf_counter() - start) * 1000)
+            assert response.status == 200
+        assert conn.sock is sock  # every request went over the first connection
+    finally:
+        conn.close()
+    return statistics.median(latencies), len(body)
+
+
+class TestKeepAliveLatency:
+    # A response sent as headers then body in two small writes waits ~40 ms
+    # for the client's delayed ACK (Nagle's algorithm) on every request.
+    def test_small_body(self, base_url):
+        p50, size = keepalive_p50_ms(base_url, "/translate?term=hacker&to_lang=en")
+        assert size < 200
+        assert p50 < 10
+
+    def test_body_larger_than_the_write_buffer(self, wide_url):
+        p50, size = keepalive_p50_ms(wide_url, "/terms/W/wide/mappings")
+        assert size > 8192
+        assert p50 < 10
+
+
+def raw_exchange(base_url: str, request: bytes) -> tuple[str, dict[str, str], bytes]:
+    """Send raw bytes, read until the server closes; returns status line, headers, body."""
+    with socket.create_connection(_address(base_url), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return status_line, headers, body
+
+
+class TestErrorResponsesAreSent:
+    # http.server answers these before do_GET runs and returns without its
+    # flush, so the buffered response must still leave when the connection ends
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            # an unescaped space in the path; the line alone, so nothing is left unread
+            (b"GET /terms/A/isdn device/mappings HTTP/1.1\r\n", 400),
+            (b"POST /vocabularies HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n", 501),
+            # exactly the 65,537 bytes the server reads, so nothing is left unread
+            (b"GET /" + b"a" * (65537 - 5), 414),
+        ],
+        ids=["bad-request-line", "post", "request-line-too-long"],
+    )
+    def test_full_error_response_then_close(self, base_url, request_bytes, status):
+        status_line, headers, body = raw_exchange(base_url, request_bytes)
+        assert status_line.split()[1] == str(status)
+        assert headers["Connection"] == "close"
+        assert len(body) == int(headers["Content-Length"]) > 0
+
+    def test_errors_from_do_get_keep_the_connection(self, base_url):
+        conn = HTTPConnection(*_address(base_url), timeout=10)
+        try:
+            conn.connect()
+            sock = conn.sock
+            for path, status in [("/nope", 404), ("/expand?q=", 400), ("/vocabularies", 200)]:
+                conn.request("GET", path)
+                response = conn.getresponse()
+                assert response.status == status
+                assert json.loads(response.read())["v"] == 1
+                assert not response.will_close
+            assert conn.sock is sock
+        finally:
+            conn.close()

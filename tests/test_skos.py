@@ -1,8 +1,10 @@
 import io
 import re
+from urllib.parse import quote
 
 import pytest
 
+from komohe import skos
 from komohe.service import Dataset
 from komohe.skos import (
     SKOS_NS,
@@ -11,6 +13,7 @@ from komohe.skos import (
     import_skos,
     parse_concept_uri,
 )
+from komohe.store import RelationType, RelevanceRating
 
 NT_LINE = re.compile(r"^<[^<>\s]+> <[^<>\s]+> <[^<>\s]+> \.$")
 
@@ -62,6 +65,51 @@ class TestExport:
         export = export_skos(bilingual.store, ["thesoz-elsst"])
         assert "urn:kos:cabt:" not in export.text
         assert export.line_count == 2
+
+
+class TestExportQuoting:
+    # vocabulary ids and terms that percent-encoding changes
+    IDS = ("a>b", "%", "é")
+    TERMS = ("x", "y z", "ü:1")
+
+    @pytest.fixture
+    def escaped(self):
+        data = Dataset.empty()
+        for source in self.IDS:
+            for target in self.IDS:
+                if source != target:
+                    for term in self.TERMS:
+                        data.store.add_row(
+                            source, term, RelationType.EQ, target, [term], RelevanceRating.HIGH
+                        )
+        return data
+
+    def test_uris_match_concept_uri(self, escaped):
+        expected = sorted(
+            f"<{concept_uri(cw.source_vocab, m.source.terms[0])}> <{SKOS_NS}exactMatch> "
+            f"<{concept_uri(cw.target_vocab, m.target.terms[0])}> .\n"
+            for cw in escaped.store.crosswalks()
+            for m in cw.mappings
+        )
+        text = export_skos(escaped.store).text
+        assert text == "".join(expected)
+        exact = f"<{SKOS_NS}exactMatch>"
+        assert f"<urn:kos:a%3Eb:y%20z> {exact} <urn:kos:%25:y%20z> .\n" in text
+        assert f"<urn:kos:%C3%A9:%C3%BC%3A1> {exact} <urn:kos:a%3Eb:%C3%BC%3A1> .\n" in text
+
+    def test_each_vocabulary_id_is_quoted_once_per_crosswalk(self, escaped, monkeypatch):
+        calls = []
+
+        def counting_quote(text, *args, **kwargs):
+            calls.append(text)
+            return quote(text, *args, **kwargs)
+
+        monkeypatch.setattr(skos, "quote", counting_quote)
+        export = export_skos(escaped.store)
+        crosswalks = len(escaped.store.crosswalks())
+        assert export.line_count == crosswalks * len(self.TERMS)
+        # one per side per crosswalk, plus one per source and target term
+        assert len(calls) <= 2 * crosswalks + 2 * export.line_count
 
 
 class TestImport:
