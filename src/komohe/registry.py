@@ -98,7 +98,7 @@ class Vocabulary:
             self.name = self.id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """A single controlled term: normalized lookup key plus original display form."""
 

@@ -30,6 +30,10 @@ from .store import RelationType, RelevanceRating, parse_relations, split_list
 
 logger = logging.getLogger(__name__)
 
+# A GET body up to this size is read and dropped, so the kept-alive
+# connection's next request starts where it should; a larger one closes it.
+MAX_GET_BODY = 65536
+
 
 @dataclass
 class ServiceConfig:
@@ -119,6 +123,14 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        length = self.headers.get("Content-Length", "0").strip()
+        if not (length.isascii() and length.isdigit()):
+            self.send_error(400, f"bad Content-Length {length!r}")
+            return
+        if int(length) > MAX_GET_BODY:
+            self.send_error(413, f"request body over {MAX_GET_BODY} bytes")
+            return
+        self.rfile.read(int(length))
         try:
             split = urlsplit(self.path)
             segments = [unquote(s) for s in split.path.split("/") if s]
@@ -133,12 +145,24 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
         except Exception:  # pragma: no cover - last-resort guard
             logger.exception("unhandled error for %s", self.path)
             payload, status = {"v": 1, "error": "internal error"}, 500
+        self.send_json(payload, status)
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """JSON errors with `Connection: close`, for requests no route sees: http.server's
+        own (a bad request line, 414, 431, 501) and do_GET's for a body it will not read."""
+        self.log_error("code %d, message %s", code, message)
+        self.send_json({"v": 1, "error": message or self.responses[code][0]}, code, close=True)
+
+    def send_json(self, payload: dict, status: int, close: bool = False) -> None:
         body = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
         self.send_response(status)
+        if close:
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":  # send_error's 501 to a HEAD has headers only
+            self.wfile.write(body)
 
     def route(self, segments: list[str], params: dict[str, list[str]]) -> tuple[dict, int]:
         if segments == ["vocabularies"]:

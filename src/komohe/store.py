@@ -2,10 +2,10 @@
 
 A crosswalk holds directed mappings from one vocabulary into another.
 Crosswalks are independent per direction: A->B and B->A coexist and need
-not agree. The store indexes mappings by source term only, the direction
-expansion, translation and pivot inference read; a reverse lookup by
-target term scans the crosswalks. It persists bit-exactly to a
-line-oriented TSV format.
+not agree. Mappings are indexed by source term, the direction expansion,
+translation and pivot inference read (each crosswalk owns its per-term
+lists); a reverse lookup by target term scans the crosswalks. It persists
+bit-exactly to a line-oriented TSV format.
 
 TSV format (UTF-8, LF):
     line 1:     #komohe-tsv v1
@@ -26,6 +26,7 @@ threads may read it, and nothing writes it again, so it needs no lock.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable
@@ -95,7 +96,7 @@ _RATING_RANK = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concept:
     """A single controlled term or an ordered combination of two or more.
 
@@ -127,7 +128,7 @@ class Concept:
         return COMBINATION_JOIN.join(self.terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mapping:
     """One directed relation inside a crosswalk.
 
@@ -178,7 +179,7 @@ class Crosswalk:
     source_vocab: str
     target_vocab: str
     mappings: list[Mapping] = field(default_factory=list)
-    # source term -> its mappings in order: the lists of the store's forward index
+    # source term -> its mappings in order; the only copy of each list
     by_source: dict[str, list[Mapping]] = field(default_factory=dict, repr=False)
 
     @property
@@ -238,8 +239,8 @@ class CrosswalkStore:
     def __init__(self, registry: VocabularyRegistry):
         self.registry = registry
         self._crosswalks: dict[str, Crosswalk] = {}
-        # term -> crosswalk id -> mappings, insertion order preserved
-        self._by_source: dict[str, dict[str, list[Mapping]]] = {}
+        # source term -> the crosswalks that map from it, by id; they own its lists
+        self._by_source: dict[str, list[Crosswalk]] = {}
 
     # ------------------------------------------------------------------
     # crosswalk management
@@ -318,7 +319,7 @@ class CrosswalkStore:
         same_source = crosswalk.by_source.get(source_term)
         if same_source is None:
             same_source = crosswalk.by_source[source_term] = []
-            self._by_source.setdefault(source_term, {})[crosswalk_id] = same_source
+            insort(self._by_source.setdefault(source_term, []), crosswalk, key=lambda c: c.id)
         same_source.append(mapping)
         return f"{crosswalk_id}:{len(crosswalk.mappings)}"
 
@@ -369,15 +370,13 @@ class CrosswalkStore:
         Ordered by crosswalk id, then insertion order within a crosswalk.
         """
         normalized = normalize_term(term)
-        per_crosswalk = self._by_source.get(normalized, {})
         results: list[tuple[Crosswalk, Mapping]] = []
-        for crosswalk_id in sorted(per_crosswalk):
-            crosswalk = self._crosswalks[crosswalk_id]
+        for crosswalk in self._by_source.get(normalized, ()):
             if source_vocab is not None and crosswalk.source_vocab != source_vocab:
                 continue
             if target_vocabs is not None and crosswalk.target_vocab not in target_vocabs:
                 continue
-            for mapping in per_crosswalk[crosswalk_id]:
+            for mapping in crosswalk.by_source[normalized]:
                 if relations is not None and mapping.relation not in relations:
                     continue
                 if not mapping.rating.meets(min_rating):

@@ -183,3 +183,32 @@ def brute_force_reverse(crosswalks, term: str, target_vocab=None):
             if m.target is not None and any(member == term for member in m.target.terms):
                 rows.append((cw, m))
     return rows
+
+
+# ----------------------------------------------------------------------
+# Brute-force forward lookup. Walks the crosswalks in id order and each
+# one's raw mapping list in insertion order, keeping the mappings whose
+# source is the (normalized) term and that pass every given filter.
+
+
+def brute_force_from(
+    crosswalks, term: str, source_vocab=None, relations=None, min_rating=None, target_vocabs=None
+):
+    """(crosswalk, mapping) rows ordered by crosswalk id, then position."""
+    rows = []
+    for cw in sorted(crosswalks, key=lambda c: c.id):
+        if source_vocab is not None and cw.source_vocab != source_vocab:
+            continue
+        if target_vocabs is not None and cw.target_vocab not in target_vocabs:
+            continue
+        for m in cw.mappings:
+            if m.source.terms != (term,):
+                continue
+            if relations is not None and m.relation not in relations:
+                continue
+            if min_rating is not None and (
+                m.rating is RelevanceRating.UNRATED or _RANKS[m.rating] < _RANKS[min_rating]
+            ):
+                continue
+            rows.append((cw, m))
+    return rows

@@ -26,7 +26,7 @@ from komohe.store import (
 )
 
 from conftest import SIXROW_TSV
-from oracles import brute_force_reverse
+from oracles import brute_force_from, brute_force_reverse
 
 PROPERTY = settings(deadline=None)
 
@@ -199,6 +199,51 @@ def test_skos_round_trip_keeps_single_target_mappings(source_vocab, target_vocab
 
 REVERSE_VOCABS = ["a", "b", "a-b", "b-a"]
 REVERSE_TERMS = ["p", "q", "r"]
+# rows in drawn order over vocabulary ids holding `-`, so crosswalks are
+# created in an order other than their ids' (a-b-a after b-a, say)
+LOOKUP_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(REVERSE_VOCABS),
+        st.sampled_from(REVERSE_TERMS),
+        st.sampled_from(list(RelationType)),
+        st.sampled_from(REVERSE_VOCABS),
+        st.lists(st.sampled_from(REVERSE_TERMS), max_size=3),
+        st.sampled_from(list(RelevanceRating)),
+    ),
+    max_size=30,
+)
+
+
+def positions(rows) -> list[tuple[str, int]]:
+    """(crosswalk id, position in its mapping list) per (crosswalk, mapping) row."""
+    return [(cw.id, next(i for i, x in enumerate(cw.mappings) if x is m)) for cw, m in rows]
+
+
+@PROPERTY
+@given(
+    LOOKUP_ROWS,
+    st.fixed_dictionaries(
+        {
+            "source_vocab": st.sampled_from(REVERSE_VOCABS),
+            "relations": st.sets(st.sampled_from(list(RelationType)), min_size=1),
+            "min_rating": st.sampled_from(list(RelevanceRating)),
+            "target_vocabs": st.sets(st.sampled_from(REVERSE_VOCABS)),
+        }
+    ),
+)
+def test_mappings_from_matches_brute_force(rows, filters):
+    store = CrosswalkStore(VocabularyRegistry())
+    for row in rows:
+        try:
+            store.add_row(*row)
+        except KomoheError:
+            continue
+    # no filter, each filter alone, and all four together
+    for chosen in [{}, *({name: value} for name, value in filters.items()), filters]:
+        for term in REVERSE_TERMS:
+            expected = brute_force_from(store.crosswalks(), term, **chosen)
+            got = store.mappings_from(f" {term.upper()}", **chosen)  # normalized on lookup
+            assert positions(got) == positions(expected)
 
 
 @PROPERTY

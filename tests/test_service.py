@@ -16,7 +16,7 @@ import pytest
 from komohe.errors import ConflictError, InvalidMappingError, NotFoundError
 from komohe.queries import MAX_QUERY_LEAVES
 from komohe.registry import Vocabulary, VocabularyRegistry
-from komohe.service import Dataset, ServiceConfig, build_server, translate
+from komohe.service import MAX_GET_BODY, Dataset, ServiceConfig, build_server, translate
 from komohe.store import CrosswalkStore, RelationType, RelevanceRating
 
 from conftest import CORPUS_TSV, SIXROW_TSV
@@ -419,14 +419,19 @@ class TestKeepAliveLatency:
         assert p50 < 10
 
 
-def raw_exchange(base_url: str, request: bytes) -> tuple[str, dict[str, str], bytes]:
-    """Send raw bytes, read until the server closes; returns status line, headers, body."""
+def raw_reply(base_url: str, request: bytes) -> bytes:
+    """Send raw bytes; returns all the server sent until it closed."""
     with socket.create_connection(_address(base_url), timeout=10) as sock:
         sock.sendall(request)
         chunks = []
         while chunk := sock.recv(65536):
             chunks.append(chunk)
-    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return b"".join(chunks)
+
+
+def raw_exchange(base_url: str, request: bytes) -> tuple[str, dict[str, str], bytes]:
+    """Send raw bytes, read until the server closes; returns status line, headers, body."""
+    head, _, body = raw_reply(base_url, request).partition(b"\r\n\r\n")
     status_line, *header_lines = head.decode("latin-1").split("\r\n")
     headers = dict(line.split(": ", 1) for line in header_lines)
     return status_line, headers, body
@@ -466,3 +471,60 @@ class TestErrorResponsesAreSent:
             assert conn.sock is sock
         finally:
             conn.close()
+
+
+class TestHttpServerErrorsAreJson:
+    def test_unsupported_method(self, base_url):
+        request = b"POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+        status_line, headers, body = raw_exchange(base_url, request)
+        assert status_line.split()[1] == "501"
+        assert headers["Content-Type"] == "application/json; charset=utf-8"
+        assert headers["Connection"] == "close"
+        payload = json.loads(body)
+        assert payload["v"] == 1 and "POST" in payload["error"]
+
+    def test_head_gets_the_headers_only(self, base_url):
+        status_line, headers, body = raw_exchange(base_url, b"HEAD /x HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert status_line.split()[1] == "501"
+        assert headers["Content-Type"] == "application/json; charset=utf-8"
+        assert int(headers["Content-Length"]) > 0 and body == b""
+
+    def test_bad_request_line(self, base_url):
+        # a one-word line is answered as HTTP/0.9: the body alone, no status line
+        payload = json.loads(raw_reply(base_url, b"GARBAGE\r\n"))
+        assert payload["v"] == 1 and "GARBAGE" in payload["error"]
+
+    def test_request_line_with_quotes_and_backslashes(self, base_url):
+        status_line, _, body = raw_exchange(base_url, b'GET /a"\\ b c HTTP/1.1\r\n\r\n')
+        assert status_line.split()[1] == "400"
+        assert json.loads(body)["v"] == 1
+
+
+class TestGetWithBody:
+    @pytest.mark.parametrize("body", [b"hello", b"x" * MAX_GET_BODY], ids=["short", "largest"])
+    def test_body_is_read_and_the_connection_kept(self, base_url, body):
+        conn = HTTPConnection(*_address(base_url), timeout=10)
+        try:
+            conn.connect()
+            sock = conn.sock
+            requests = [("/translate?term=hacker&to_lang=en", body), ("/vocabularies", None)]
+            for path, sent in requests:
+                conn.request("GET", path, body=sent)
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["v"] == 1
+            assert conn.sock is sock
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [(str(MAX_GET_BODY + 1), 413), ("five", 400), ("-1", 400), ("²", 400)],
+        ids=["too-long", "not-a-number", "negative", "non-ascii-digit"],
+    )
+    def test_unusable_length_is_a_json_error_then_close(self, base_url, length, status):
+        request = f"GET /vocabularies HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        status_line, headers, body = raw_exchange(base_url, request.encode("latin-1"))
+        assert status_line.split()[1] == str(status)
+        assert headers["Connection"] == "close"
+        assert json.loads(body)["v"] == 1

@@ -9,7 +9,7 @@ from komohe.errors import (
     InvalidTermError,
     NotFoundError,
 )
-from komohe.registry import VocabularyRegistry
+from komohe.registry import Term, VocabularyRegistry
 from komohe.service import Dataset
 from komohe.store import (
     TSV_HEADER,
@@ -43,6 +43,18 @@ def simple_mapping(source="x", relation=RelationType.EQ, target="y", rating=Rele
         target=Concept.single(target) if target else None,
         rating=rating,
     )
+
+
+class TestCompactRecords:
+    def test_records_kept_per_mapping_or_term_have_no_dict(self):
+        # one of each is kept per stored mapping or term, so they hold slots only
+        records = [
+            Concept.single("x"),
+            simple_mapping(),
+            Term(vocabulary="a", normalized="x", display="X"),
+        ]
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 class TestEnums:
