@@ -123,6 +123,9 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        if "Transfer-Encoding" in self.headers:  # its body cannot be skipped by length
+            self.send_error(501, "Transfer-Encoding is not supported")
+            return
         length = self.headers.get("Content-Length", "0").strip()
         if not (length.isascii() and length.isdigit()):
             self.send_error(400, f"bad Content-Length {length!r}")

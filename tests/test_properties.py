@@ -87,6 +87,22 @@ def test_tsv_export_import_export_is_identity(rows):
     assert again.export_tsv() == text
 
 
+MEMBER = st.lists(st.sampled_from(["a", "b", "+", " ", " + "]), min_size=1, max_size=6).map("".join)
+
+
+@PROPERTY
+@given(st.lists(MEMBER.filter(str.strip).map(normalize_term), min_size=1, max_size=3))
+def test_target_is_rejected_exactly_when_its_members_would_split_differently(members):
+    members = tuple(members)
+    splits_back = tuple(COMBINATION_JOIN.join(members).split(COMBINATION_JOIN)) == members
+    try:
+        Mapping(Concept.single("x"), RelationType.EQ, Concept(members))
+    except InvalidMappingError:
+        assert not splits_back
+    else:
+        assert splits_back
+
+
 # (header, good data line, malformed data line) per format; term lists
 # have no malformed lines, every non-blank line is a term
 FORMATS = {

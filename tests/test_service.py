@@ -517,6 +517,20 @@ class TestGetWithBody:
         finally:
             conn.close()
 
+    def test_transfer_encoding_is_a_json_501_then_close(self, base_url):
+        # a chunked body left unread would be parsed as the next request line
+        request = (
+            b"GET /vocabularies HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"5\r\nhello\r\n0\r\n\r\n"
+            b"GET /vocabularies HTTP/1.1\r\n\r\n"
+        )
+        status_line, headers, body = raw_exchange(base_url, request)
+        assert status_line.split()[1] == "501"
+        assert headers["Connection"] == "close"
+        assert headers["Content-Type"] == "application/json; charset=utf-8"
+        assert len(body) == int(headers["Content-Length"])  # then EOF: nothing else was answered
+        assert json.loads(body) == {"v": 1, "error": "Transfer-Encoding is not supported"}
+
     @pytest.mark.parametrize(
         "length, status",
         [(str(MAX_GET_BODY + 1), 413), ("five", 400), ("-1", 400), ("²", 400)],

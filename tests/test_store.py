@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -366,6 +367,79 @@ class TestTsvImport:
         assert [no for no, _ in report.errors] == [3]
         assert [v.id for v in store.registry.vocabularies()] == ["a", "b-c"]
         assert [cw.id for cw in store.crosswalks()] == ["a-b-c"]
+
+
+class TestImportRejectionReasons:
+    def test_each_kind_of_bad_line_gets_its_reason(self):
+        text = (
+            f"{TSV_HEADER}\n"
+            "a\tx\t=\tb\ty\thigh\n"
+            "a\tx\t?\tb\ty\thigh\n"  # bad relation
+            "a\tx\t=\tb\ty\tsuperb\n"  # bad rating
+            "a\n"  # too few fields
+            "a\tz\t=\tb\ty\thigh\textra\n"  # 7th field, not a comment
+            "a\tx\t=\tb\ty\thigh\n"  # duplicate triple
+            "a\t \t=\tb\ty\thigh\n"  # empty source term
+            "X\tfoo\t0\t\t\t\n"  # null row without context
+            "a\tx\t=\t\ty\thigh\n"  # missing target vocabulary
+            "A\tx\t=\tA\ty\t\n"  # same vocabulary on both sides
+            "a\tx\t=\tb\tx\u00a0+ + y\t\n"  # normalizes to members ("x +", "y")
+        )
+        report = CrosswalkStore(VocabularyRegistry()).import_tsv(text)
+        assert report.mappings_added == 1
+        assert report.errors == [
+            (3, "unknown relation symbol '?'"),
+            (4, "unknown rating 'superb'"),
+            (5, "expected 6 tab-separated fields, got 1"),
+            (6, "expected at most 6 fields, got 7"),
+            (7, "duplicate mapping 'x = y' in 'a-b'"),
+            (8, "term is empty or whitespace-only"),
+            (
+                9,
+                "null row has no target vocabulary and no preceding "
+                "crosswalk for source vocabulary 'X'",
+            ),
+            (10, "missing target vocabulary"),
+            (11, "crosswalk source and target must differ (got 'A')"),
+            (12, "target ('x +', 'y') cannot be written: ' + ' joins combination members"),
+        ]
+
+
+class TestImportLeavesGcAsFound:
+    ROWS = f"{TSV_HEADER}\na\tx\t=\tb\ty\thigh\na\tz\t=\tb\tw\t\n"
+
+    @pytest.fixture(autouse=True)
+    def gc_back_on(self):
+        yield
+        gc.enable()
+
+    def test_enabled_stays_enabled(self):
+        gc.enable()
+        assert fresh_store().import_tsv(self.ROWS).mappings_added == 2
+        assert gc.isenabled()
+
+    def test_disabled_stays_disabled(self):
+        gc.disable()
+        assert fresh_store().import_tsv(self.ROWS).mappings_added == 2
+        assert not gc.isenabled()
+
+    def test_enabled_again_when_the_stream_fails(self):
+        enabled_while_reading = []
+
+        def failing_stream():
+            yield f"{TSV_HEADER}\n"
+            yield "a\tx\t=\tb\ty\thigh\n"
+            enabled_while_reading.append(gc.isenabled())
+            yield "a\tz\t=\tb\tw\t\n"
+            raise OSError("read failed")
+
+        gc.enable()
+        store = fresh_store()
+        with pytest.raises(OSError, match="read failed"):
+            store.import_tsv(failing_stream())
+        assert gc.isenabled()
+        assert enabled_while_reading == [False]
+        assert len(store.crosswalk("a-b").mappings) == 2
 
 
 class TestAddRow:
