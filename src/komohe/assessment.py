@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO
 
-from .errors import FormatError, InvalidMappingError, InvalidTermError
+from .errors import FormatError, InvalidMappingError, KomoheError
 from .registry import normalize_term, read_numbered_lines
 from .store import CrosswalkStore, Mapping, RelationType
 
@@ -58,17 +58,15 @@ def load_corpus(stream: IO[str] | str) -> CorpusLoad:
         raise FormatError(f"bad header {header!r}; expected {CORPUS_HEADER!r}")
     load = CorpusLoad(corpus=Corpus())
     for line_no, line in lines:
-        fields = line.split("\t")
-        if len(fields) != 3:
-            load.errors.append((line_no, f"expected 3 fields, got {len(fields)}"))
-            continue
-        doc_id, vocab, term = fields
-        if not doc_id.strip() or not vocab.strip():
-            load.errors.append((line_no, "empty doc id or vocabulary"))
-            continue
         try:
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise FormatError(f"expected 3 fields, got {len(fields)}")
+            doc_id, vocab, term = fields
+            if not doc_id.strip() or not vocab.strip():
+                raise FormatError("empty doc id or vocabulary")
             load.corpus.add_descriptor(doc_id, vocab, term)
-        except InvalidTermError as exc:
+        except KomoheError as exc:
             load.errors.append((line_no, str(exc)))
     return load
 

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .assessment import load_corpus, sample_assessment
-from .dataset import Dataset, save_dataset, translate
+from .dataset import Dataset, rejected_line, save_dataset, translate
 from .errors import KomoheError
 from .inference import detect_variant_mappings, export_inferred_tsv, infer_pivot
 from .queries import ExpansionConfig, expand_query, parse_query, render_query
@@ -63,7 +63,7 @@ def cmd_import(args: argparse.Namespace) -> int:
     print(f"mappings_added\t{report.mappings_added}")
     print(f"errors\t{len(report.errors)}")
     for line_no, reason in report.errors:
-        print(f"{args.file}:{line_no}: {reason}", file=sys.stderr)
+        print(rejected_line(args.file, line_no, reason), file=sys.stderr)
     return 0
 
 
@@ -76,12 +76,14 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_terms(args: argparse.Namespace) -> int:
     dataset = load_dataset(args)
-    if not dataset.registry.has_vocabulary(args.vocab):
+    # with none of the flags, import_terms registers a new vocabulary from the file's header
+    flags = (args.lang, args.name, args.discipline)
+    if flags != (None, None, None) and not dataset.registry.has_vocabulary(args.vocab):
         dataset.registry.register_vocabulary(
             Vocabulary(
                 id=args.vocab,
                 name=args.name or "",
-                language=args.lang,
+                language="en" if args.lang is None else args.lang,
                 discipline=args.discipline or "",
             )
         )
@@ -178,7 +180,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     with open(args.corpus, encoding="utf-8") as fh:
         load = load_corpus(fh)
     for line_no, reason in load.errors:
-        print(f"{args.corpus}:{line_no}: {reason}", file=sys.stderr)
+        print(rejected_line(args.corpus, line_no, reason), file=sys.stderr)
     report = sample_assessment(
         dataset.store, args.crosswalk, load.corpus, args.sample, args.seed
     )
@@ -210,9 +212,9 @@ def cmd_skos_import(args: argparse.Namespace) -> int:
     save_dataset(dataset, data_dir(args))
     print(f"mappings_added\t{report.mappings_added}")
     for line_no, reason in report.errors:
-        print(f"{args.file}:{line_no}: {reason}", file=sys.stderr)
+        print(rejected_line(args.file, line_no, reason), file=sys.stderr)
     for line_no, predicate in report.skipped_predicates:
-        print(f"{args.file}:{line_no}: skipped predicate {predicate}", file=sys.stderr)
+        print(rejected_line(args.file, line_no, f"skipped predicate {predicate}"), file=sys.stderr)
     return 0
 
 
@@ -274,9 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("terms", help="load a term-list file into a vocabulary")
     p.add_argument("vocab")
     p.add_argument("file")
-    p.add_argument("--lang", default="en", help="ISO 639-1 code for a new vocabulary")
-    p.add_argument("--name")
-    p.add_argument("--discipline")
+    p.add_argument(
+        "--lang",
+        help="ISO 639-1 code for a new vocabulary (default en). With none of --lang, "
+        "--name or --discipline, a new vocabulary takes all three from the file's header",
+    )
+    p.add_argument("--name", help="name for a new vocabulary")
+    p.add_argument("--discipline", help="discipline for a new vocabulary")
     p.set_defaults(func=cmd_terms)
 
     p = sub.add_parser("lookup", help="mappings whose source is the given term")
@@ -368,3 +374,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

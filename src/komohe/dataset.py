@@ -23,6 +23,11 @@ CROSSWALKS_FILE = "crosswalks.tsv"
 LOGGED_ERRORS = 5  # rejected lines quoted in a file's load warning
 
 
+def rejected_line(path: str | Path, line_no: int, reason: str) -> str:
+    """How a rejected or skipped input line is reported: `path:line: reason`."""
+    return f"{path}:{line_no}: {reason}"
+
+
 @dataclass
 class Dataset:
     """A registry and the store over it: built by one loader, then only read."""
@@ -64,7 +69,7 @@ class Dataset:
             with path.open(encoding="utf-8") as fh:
                 errors = dataset.store.import_tsv(fh).errors
             if errors:
-                first = "; ".join(f"{path}:{n}: {reason}" for n, reason in errors[:LOGGED_ERRORS])
+                first = "; ".join(rejected_line(path, *row) for row in errors[:LOGGED_ERRORS])
                 logger.warning("%s: %d lines rejected, first: %s", path, len(errors), first)
         return dataset
 

@@ -38,13 +38,16 @@ MAX_QUERY_LEAVES = 256
 
 @dataclass(frozen=True)
 class Leaf:
-    """A term or quoted phrase; text is normalized and non-empty."""
+    """A term or quoted phrase; text is normalized, non-empty and holds no `"`."""
 
     text: str
 
     def __post_init__(self) -> None:
         if not self.text or self.text != normalize_term(self.text):
             raise ValueError(f"leaf text {self.text!r} is not normalized")
+        if '"' in self.text:
+            # render_query quotes every leaf, and no phrase can hold a quote
+            raise ValueError(f"leaf text {self.text!r} holds a double quote")
 
 
 @dataclass(frozen=True)
@@ -318,7 +321,8 @@ def expand_query(
             if len(additions) >= config.max_terms_per_leaf:
                 break
             concept = mapping.target
-            if concept is None or concept.terms in seen:
+            # a member holding `"` could not be a Leaf, so the concept is left out
+            if concept is None or concept.terms in seen or '"' in concept.label:
                 continue
             seen.add(concept.terms)
             if concept.is_single:

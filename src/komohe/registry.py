@@ -50,23 +50,23 @@ def normalize_term(raw: str) -> str:
     return collapsed
 
 
+def numbered_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, str]]:
+    """(line number counted from `start`, text without the newline) of each data
+    line. The one rule of every line format: blank and `#` lines are not data."""
+    numbered = enumerate((line.rstrip("\n") for line in lines), start=start)
+    return ((n, line) for n, line in numbered if line.strip() and not line.startswith("#"))
+
+
 def read_numbered_lines(
     stream: IO[str] | Iterable[str] | str, expected_header: str
 ) -> tuple[str, Iterator[tuple[int, str]]]:
-    """Split a line-oriented file into its header and its numbered data lines.
-
-    The header is line 1. Data lines come back as (line number, text
-    without the newline); blank lines and `#` lines are skipped. Raises
-    FormatError naming `expected_header` when the stream is empty.
-    """
+    """Split a line-oriented file into its header (line 1) and the numbered_lines
+    after it. Raises FormatError naming `expected_header` if the stream is empty."""
     lines = iter(StringIO(stream) if isinstance(stream, str) else stream)
     header = next(lines, None)
     if header is None:
         raise FormatError(f"empty stream; expected {expected_header!r} header")
-    numbered = enumerate((line.rstrip("\n") for line in lines), start=2)
-    return header.rstrip("\n"), (
-        (line_no, line) for line_no, line in numbered if line.strip() and not line.startswith("#")
-    )
+    return header.rstrip("\n"), numbered_lines(lines, start=2)
 
 
 def _validate_vocab_id(vocab_id: str) -> None:

@@ -25,7 +25,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 from .dataset import Dataset, translate
 from .errors import InvalidMappingError, KomoheError, NotFoundError, QueryParseError
 from .queries import ExpansionConfig, expand_query, parse_query, render_query
-from .registry import ISO_639_1
+from .registry import ISO_639_1, numbered_lines
 from .store import RelationType, RelevanceRating, parse_relations, split_list
 
 logger = logging.getLogger(__name__)
@@ -62,15 +62,13 @@ class ServiceConfig:
     def from_file(cls, path: Path) -> "ServiceConfig":
         """Flat key=value config; blank lines and `#` comments ignored, unknown keys rejected."""
         values: dict[str, object] = {}
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        text = path.read_text(encoding="utf-8")
+        for line_no, line in numbered_lines(raw.strip() for raw in text.splitlines()):
             if "=" not in line:
-                raise InvalidMappingError(f"bad config line {line!r}")
+                raise InvalidMappingError(f"line {line_no}: bad config line {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
-                raise InvalidMappingError(f"unknown config key {key!r}")
+                raise InvalidMappingError(f"line {line_no}: unknown config key {key!r}")
             name, parse = _CONFIG_KEYS[key]
             values[name] = parse(value)
         return cls(**values)

@@ -16,7 +16,8 @@ from io import StringIO
 from typing import IO, Iterable
 from urllib.parse import quote, unquote
 
-from .errors import InvalidTermError, KomoheError
+from .errors import FormatError, InvalidMappingError, InvalidTermError, KomoheError
+from .registry import numbered_lines
 from .store import CrosswalkStore, RelationType, RelevanceRating
 
 SKOS_NS = "http://www.w3.org/2004/02/skos/core#"
@@ -62,7 +63,7 @@ class SkosExport:
 
     @property
     def line_count(self) -> int:
-        return sum(1 for line in self.text.splitlines() if line.strip())
+        return self.text.count("\n")  # one triple per line, no blank lines
 
 
 @dataclass
@@ -119,44 +120,30 @@ def import_skos(
     line; triples with predicates outside the four mapping predicates are
     skipped and listed in the report.
     """
-    if isinstance(stream, str):
-        stream = StringIO(stream)
+    lines = StringIO(stream) if isinstance(stream, str) else stream
     report = SkosImportReport()
-    for line_no, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        match = _TRIPLE_RE.match(line)
-        if match is None:
-            report.errors.append((line_no, f"malformed triple: {line!r}"))
-            continue
-        subject, predicate, obj = match.groups()
-        relation = PREDICATE_TO_RELATION.get(predicate)
-        if relation is None:
-            report.skipped_predicates.append((line_no, predicate))
-            continue
+    # stripped first, so an indented `# ...` line is a comment too
+    for line_no, line in numbered_lines(raw.strip() for raw in lines):
         try:
+            match = _TRIPLE_RE.match(line)
+            if match is None:
+                raise FormatError(f"malformed triple: {line!r}")
+            subject, predicate, obj = match.groups()
+            if (relation := PREDICATE_TO_RELATION.get(predicate)) is None:
+                report.skipped_predicates.append((line_no, predicate))
+                continue
             subject_vocab, source_term = parse_concept_uri(subject)
             object_vocab, target_term = parse_concept_uri(obj)
-        except InvalidTermError as exc:
-            report.errors.append((line_no, str(exc)))
-            continue
-        if subject_vocab != source_vocab or object_vocab != target_vocab:
-            report.errors.append(
-                (
-                    line_no,
+            if subject_vocab != source_vocab or object_vocab != target_vocab:
+                raise InvalidMappingError(
                     f"URI vocabularies {subject_vocab!r}->{object_vocab!r} do not "
-                    f"match requested crosswalk {source_vocab!r}->{target_vocab!r}",
+                    f"match requested crosswalk {source_vocab!r}->{target_vocab!r}"
                 )
-            )
-            continue
-        try:
             store.add_row(
                 source_vocab, source_term, relation, target_vocab, [target_term],
                 RelevanceRating.UNRATED,
             )
+            report.mappings_added += 1
         except KomoheError as exc:
             report.errors.append((line_no, str(exc)))
-            continue
-        report.mappings_added += 1
     return report

@@ -79,6 +79,13 @@ class TestTermsCommand:
         # language survives the round trip through the data dir
         assert run(datadir, "translate", "x", "--to", "de") == 0
 
+    def test_new_vocabulary_without_flags_keeps_the_header(self, datadir, tmp_path):
+        listing = tmp_path / "swd.txt"
+        listing.write_text("#terms swd lang=de name=Schlagwort\nSoziologie\n", encoding="utf-8")
+        assert run(datadir, "terms", "swd", str(listing)) == 0
+        header = (datadir / "swd.terms").read_text(encoding="utf-8").splitlines()[0]
+        assert header == "#terms swd lang=de name=Schlagwort"
+
 
 class TestLookup:
     def test_rows(self, loaded, capsys):
@@ -307,6 +314,25 @@ class TestServeCommand:
                 proc.kill()
                 proc.wait()
         assert "shutting down" in log.read_text("utf-8")
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["komohe", "komohe.cli"])
+    def test_python_dash_m_runs_the_cli(self, module, tmp_path):
+        src = str(Path(komohe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def komohe_m(*argv):
+            command = [sys.executable, "-m", module, "--data", str(tmp_path / "data"), *argv]
+            return subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+
+        usage = komohe_m("--help")
+        assert (usage.returncode, usage.stderr) == (0, "") and "usage: " in usage.stdout
+        tsv = tmp_path / "sixrow.tsv"
+        tsv.write_text(SIXROW_TSV, encoding="utf-8")
+        assert komohe_m("import", str(tsv)).returncode == 0
+        lookup = komohe_m("lookup", "hacker", "--relation", "=")
+        assert (lookup.returncode, lookup.stdout) == (0, "A\thacker\t=\tB\thacking\thigh\n")
 
 
 class TestRobustness:

@@ -14,7 +14,7 @@ from komohe.assessment import load_corpus
 from komohe.dataset import Dataset, save_dataset
 from komohe.errors import ConflictError, InvalidMappingError, InvalidTermError, KomoheError
 from komohe.registry import VocabularyRegistry, normalize_term, read_numbered_lines
-from komohe.service import KomoheRequestHandler
+from komohe.service import KomoheRequestHandler, ServiceConfig
 from komohe.skos import export_skos, import_skos
 from komohe.store import (
     COMBINATION_JOIN,
@@ -133,6 +133,44 @@ def test_reader_numbers_lines_alike_for_every_format(layout):
     assert [n for n, _ in report.errors] == bad_lines
     assert [n for n, _ in load_corpus(texts["corpus"]).errors] == bad_lines
     assert VocabularyRegistry().import_terms(texts["terms"]) == len(data_lines)
+
+
+# SKOS and the service config have no header, are numbered from 1 and
+# strip a line before the comment test, so an indented `# note` is a comment
+LINE_FILLER = {"blank": "", "spaces": " \t ", "comment": "# note", "indented comment": "   # note"}
+SKOS_LINES = {
+    "good": "<urn:kos:a:x{n}> <http://www.w3.org/2004/02/skos/core#exactMatch> <urn:kos:b:y> .",
+    "bad": "<urn:kos:a:x{n}> broken",
+    "other": "<urn:kos:a:x{n}> <http://example.org/p> <urn:kos:b:y> .",
+}
+CONFIG_LINES = {"good": "max_expansion_terms = {n}", "bad": " read_timeout={n} ", "other": "\thost = h{n}"}
+
+
+def headerless_text(layout, lines):
+    return "\n".join(
+        LINE_FILLER[kind] if kind in LINE_FILLER else lines[kind].format(n=n)
+        for n, kind in enumerate(layout, start=1)
+    ) + "\n"
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from([*LINE_FILLER, *SKOS_LINES]), max_size=30))
+def test_headerless_formats_skip_blank_and_comment_lines_alike(layout):
+    numbered = list(enumerate(layout, start=1))
+    report = import_skos(CrosswalkStore(VocabularyRegistry()), headerless_text(layout, SKOS_LINES), "a", "b")
+    assert [n for n, _ in report.errors] == [n for n, kind in numbered if kind == "bad"]
+    assert [n for n, _ in report.skipped_predicates] == [n for n, kind in numbered if kind == "other"]
+    assert report.mappings_added == layout.count("good")
+
+    # the config reads the same layout, each data kind setting one key;
+    # the last line naming a key wins
+    fields = {"good": "max_expansion_terms", "bad": "read_timeout", "other": "host"}
+    values = {"good": int, "bad": float, "other": lambda n: f"h{n}"}
+    expected = {fields[kind]: values[kind](n) for n, kind in numbered if kind in fields}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "service.conf"
+        path.write_text(headerless_text(layout, CONFIG_LINES), encoding="utf-8")
+        assert ServiceConfig.from_file(path) == ServiceConfig(**expected)
 
 
 # vocabulary ids from an alphabet holding the id rules' edge cases: `-`

@@ -121,6 +121,11 @@ class TestAstValidation:
             Leaf("Hacker")
         leaf("Hacker")  # the helper normalizes
 
+    def test_leaf_text_holds_no_quote(self):
+        # render_query would quote it into a phrase that cannot parse back
+        with pytest.raises(ValueError):
+            Leaf('say "hi"')
+
 
 class TestExpansion:
     def default(self, **kw):
@@ -212,6 +217,21 @@ class TestExpansion:
         assert expanded == Or(
             (leaf("soziologie"), leaf("sociology"), leaf("social sciences"))
         )
+
+    def test_expanded_query_parses_back_when_a_mapped_term_holds_a_quote(self):
+        from conftest import build_dataset
+
+        data = build_dataset(
+            '#komohe-tsv v1\na\tx\t=\tb\tsay "hi"\thigh\na\tx\t=\tb\ty\tlow\n'
+            'a\tx\t^\tb\tz + "q"\tlow\na\tx\t^\tb\tz + w\tlow\n'
+        )
+        config = self.default(relations=frozenset({RelationType.EQ, RelationType.ASSOC}))
+        expanded, trace = expand_query(parse_query("x OR NOT x"), data.store, config)
+        assert parse_query(render_query(expanded)) == expanded
+        # the concepts with a quoted member are left out, like seen targets
+        group = Or((leaf("x"), leaf("y"), And((leaf("z"), leaf("w")))))
+        assert expanded == Or((group, Not(leaf("x"))))
+        assert [a.term for a in trace[0].additions] == ["y", "z + w"]
 
     def test_null_relation_rejected_in_config(self):
         with pytest.raises(InvalidMappingError):

@@ -1,6 +1,7 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, on the Python it declares."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -25,3 +26,15 @@ def test_every_absolute_import_is_stdlib():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
+    assert declared, "pyproject.toml declares no requires-python floor"
+    floor = (int(declared[1]), int(declared[2]))
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    for path in paths:
+        # raises SyntaxError for syntax newer than the floor, such as `except*` below 3.11
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)

@@ -14,7 +14,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from komohe.errors import ConflictError, InvalidMappingError, NotFoundError
-from komohe.queries import MAX_QUERY_LEAVES
+from komohe.queries import MAX_QUERY_LEAVES, parse_query, render_query
 from komohe.registry import Vocabulary, VocabularyRegistry
 from komohe.service import MAX_GET_BODY, Dataset, ServiceConfig, build_server, translate
 from komohe.store import CrosswalkStore, RelationType, RelevanceRating
@@ -193,6 +193,15 @@ class TestServiceConfig:
         with pytest.raises(InvalidMappingError):
             ServiceConfig.from_file(path)
 
+    def test_from_file_errors_name_the_line(self, tmp_path):
+        path = tmp_path / "service.conf"
+        path.write_text("# service\n\nport = 9090\nmax_expansion_term = 8\n")
+        with pytest.raises(InvalidMappingError, match="^line 4: unknown config key 'max_expansion_term'$"):
+            ServiceConfig.from_file(path)
+        path.write_text("port = 9090\n   # note\nhost 0.0.0.0\n")
+        with pytest.raises(InvalidMappingError, match="^line 3: bad config line 'host 0.0.0.0'$"):
+            ServiceConfig.from_file(path)
+
 
 # HTTP integration ------------------------------------------------------
 
@@ -310,6 +319,20 @@ class TestEndpoints:
                 ],
             }
         ]
+
+    def test_expand_leaves_out_a_mapped_term_holding_a_quote(self):
+        dataset = Dataset.empty()
+        for target in ('say "hi"', "y"):
+            dataset.store.add_row("a", "x", RelationType.EQ, "b", [target], RelevanceRating.HIGH)
+        server = _serve(dataset)
+        base = next(server)
+        try:
+            status, body = get(base, "/expand?q=x")
+        finally:
+            next(server, None)
+        assert status == 200
+        assert body["expanded"] == '("x" OR "y")'
+        assert render_query(parse_query(body["expanded"])) == body["expanded"]
 
     def test_expand_relations_param(self, base_url):
         _, body = get(base_url, "/expand?q=hacker&relations=%3D,%5E")
