@@ -1,11 +1,13 @@
 """Spot-check mappings against a descriptor-indexed document corpus.
 
 A corpus is a set of documents, each carrying (vocabulary, term)
-descriptor pairs. Assessing a mapping counts documents indexed with the
-source term and documents indexed with the complete target concept;
-combination targets count conjunctively, so a document carrying only some
-members does not count. Assessment reads the store and corpus, never
-writes.
+descriptor pairs. It is held as postings: each (vocabulary, normalized
+term) maps to the ids of the documents carrying it. Assessing a mapping
+counts documents indexed with the source term and documents indexed with
+the complete target concept; a combination target intersects its members'
+postings, so a document carrying only some members does not count. Every
+document id named on a well-formed line counts in len(corpus), even if its
+only term is rejected. Assessment reads the store and corpus, never writes.
 
 Corpus TSV (UTF-8, LF): header `#corpus v1`, then
 `doc_id<TAB>vocab<TAB>term` lines; `#` lines and blank lines ignored.
@@ -27,22 +29,29 @@ CORPUS_HEADER = "#corpus v1"
 
 @dataclass
 class Corpus:
-    """Documents keyed by id; each document is a set of (vocab, term) descriptors."""
+    """Postings: (vocab, normalized term) -> ids of the documents carrying it."""
 
-    docs: dict[str, set[tuple[str, str]]] = field(default_factory=dict)
+    # one string object per document id, shared by every posting naming it
+    doc_ids: dict[str, str] = field(default_factory=dict)
+    postings: dict[tuple[str, str], set[str]] = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.doc_ids)
 
     def add_descriptor(self, doc_id: str, vocab: str, term: str) -> None:
-        self.docs.setdefault(doc_id, set()).add((vocab, normalize_term(term)))
+        # the document counts before its term is checked, so a document whose
+        # only line holds a rejected term still counts in len(corpus)
+        doc_id = self.doc_ids.setdefault(doc_id, doc_id)
+        self.postings.setdefault((vocab, normalize_term(term)), set()).add(doc_id)
 
     def count_with(self, vocab: str, term: str) -> int:
         return self.count_with_all(vocab, (term,))
 
     def count_with_all(self, vocab: str, terms: tuple[str, ...]) -> int:
-        keys = {(vocab, normalize_term(t)) for t in terms}
-        return sum(1 for descriptors in self.docs.values() if keys <= descriptors)
+        """Documents carrying every term (smallest postings first); no terms: all."""
+        keys = [(vocab, normalize_term(t)) for t in terms]
+        postings = sorted((self.postings.get(key, frozenset()) for key in keys), key=len)
+        return len(postings[0].intersection(*postings[1:])) if postings else len(self)
 
 
 @dataclass
@@ -121,16 +130,8 @@ class AssessmentReport:
         """Header plus `mapping<TAB>source_hits<TAB>target_hits<TAB>verdict` lines."""
         lines = ["mapping\tsource_hits\ttarget_hits\tverdict"]
         for row in self.rows:
-            lines.append(
-                "\t".join(
-                    (
-                        row.mapping.label,
-                        str(row.result.source_hits),
-                        str(row.result.target_hits),
-                        row.result.verdict.value,
-                    )
-                )
-            )
+            hits = f"{row.result.source_hits}\t{row.result.target_hits}"
+            lines.append(f"{row.mapping.label}\t{hits}\t{row.result.verdict.value}")
         return "\n".join(lines) + "\n"
 
 

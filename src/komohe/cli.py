@@ -220,20 +220,11 @@ def cmd_skos_import(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     dataset = load_dataset(args)
-    print(
-        "#crosswalk\tmappings\t=\t<\t>\t^\t0\thigh\tmedium\tlow\tunrated"
-    )
+    print("#crosswalk\tmappings\t=\t<\t>\t^\t0\thigh\tmedium\tlow\tunrated")
     for crosswalk_id, stats in dataset.store.stats().items():
-        print(
-            "\t".join(
-                [
-                    crosswalk_id,
-                    str(stats.mapping_count),
-                    *(str(stats.relations[r]) for r in RelationType),
-                    *(str(stats.ratings[r]) for r in RelevanceRating),
-                ]
-            )
-        )
+        counts = [stats.mapping_count, *(stats.relations[r] for r in RelationType)]
+        counts += [stats.ratings[r] for r in RelevanceRating]
+        print("\t".join([crosswalk_id, *map(str, counts)]))
     return 0
 
 

@@ -209,10 +209,11 @@ class VocabularyRegistry:
             raise FormatError(f"bad term-list header {header!r}")
         file_vocab = fields[1]
         if vocab_id is not None and vocab_id != file_vocab:
-            raise FormatError(
-                f"term list is for vocabulary {file_vocab!r}, not {vocab_id!r}"
-            )
-        meta = dict(f.split("=", 1) for f in fields[2:] if "=" in f)
+            raise FormatError(f"term list is for vocabulary {file_vocab!r}, not {vocab_id!r}")
+        unknown = [f for f in fields[2:] if not f.startswith(("lang=", "name=", "discipline="))]
+        if unknown:
+            raise FormatError(f"unknown term-list header token {unknown[0]!r}")
+        meta = dict(f.split("=", 1) for f in fields[2:])
         if not self.has_vocabulary(file_vocab):
             self.register_vocabulary(
                 Vocabulary(

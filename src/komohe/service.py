@@ -70,7 +70,11 @@ class ServiceConfig:
             if key not in _CONFIG_KEYS:
                 raise InvalidMappingError(f"line {line_no}: unknown config key {key!r}")
             name, parse = _CONFIG_KEYS[key]
-            values[name] = parse(value)
+            try:
+                values[name] = parse(value)
+            except ValueError:
+                bad = f"line {line_no}: bad value for {key!r}: {value!r}"
+                raise InvalidMappingError(bad) from None
         return cls(**values)
 
 
@@ -86,6 +90,11 @@ _CONFIG_KEYS = {
 
 class _BadRequest(KomoheError):
     """A request parameter is missing or unusable; answered with 400."""
+
+
+def _param(params: dict[str, list[str]], name: str) -> str:
+    """The first value of a query parameter, or "" when it is absent."""
+    return params.get(name, [""])[0]
 
 
 def _parse_relations(text: str) -> set[RelationType]:
@@ -195,18 +204,13 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
     ) -> tuple[dict, int]:
         if self.dataset.registry.lookup_term(vocab_id, term) is None:  # 404s an unknown vocabulary
             raise NotFoundError(f"term {term!r} not found in {vocab_id!r}")
-        relations = None
-        if params.get("relation", [""])[0]:
-            relations = _parse_relations(params["relation"][0])
-        min_rating = None
-        if params.get("min_rating", [""])[0]:
-            min_rating = _parse_rating(params["min_rating"][0])
-        target = params.get("target", [""])[0] or None
+        relation, min_rating = _param(params, "relation"), _param(params, "min_rating")
+        target = _param(params, "target")
         results = self.dataset.store.mappings_from(
             term,
             source_vocab=vocab_id,
-            relations=relations,
-            min_rating=min_rating,
+            relations=_parse_relations(relation) if relation else None,
+            min_rating=_parse_rating(min_rating) if min_rating else None,
             target_vocabs={target} if target else None,
         )
         mappings = [
@@ -221,21 +225,19 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
         return {"v": 1, "mappings": mappings}, 200
 
     def handle_expand(self, params: dict[str, list[str]]) -> tuple[dict, int]:
-        query = params.get("q", [""])[0]
+        query, relation_arg, vocab_arg, max_arg = (
+            _param(params, key) for key in ("q", "relations", "vocabs", "max")
+        )
         if not query.strip():
             raise _BadRequest("missing query parameter q")
-        relations = frozenset({RelationType.EQ})
-        if params.get("relations", [""])[0]:
-            relations = frozenset(_parse_relations(params["relations"][0]))
-        vocabs = None
-        if params.get("vocabs", [""])[0]:
-            vocabs = frozenset(split_list(params["vocabs"][0]))
+        relations = frozenset(_parse_relations(relation_arg) if relation_arg else [RelationType.EQ])
+        vocabs = frozenset(split_list(vocab_arg)) if vocab_arg else None
         max_terms = self.max_expansion_terms
-        if params.get("max", [""])[0]:
+        if max_arg:
             try:
-                max_terms = int(params["max"][0])
+                max_terms = int(max_arg)
             except ValueError:
-                raise _BadRequest(f"bad max value {params['max'][0]!r}")
+                raise _BadRequest(f"bad max value {max_arg!r}")
         try:
             config = ExpansionConfig(
                 relations=relations,
@@ -269,9 +271,8 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
         }, 200
 
     def handle_translate(self, params: dict[str, list[str]]) -> tuple[dict, int]:
-        term = params.get("term", [""])[0]
-        to_lang = params.get("to_lang", [""])[0]
-        from_lang = params.get("from_lang", [""])[0] or None
+        term, to_lang = _param(params, "term"), _param(params, "to_lang")
+        from_lang = _param(params, "from_lang") or None
         if not term.strip():
             raise _BadRequest("missing query parameter term")
         if not to_lang:

@@ -7,6 +7,7 @@ bug in the package cannot hide inside its own test.
 
 from __future__ import annotations
 
+import unicodedata
 from itertools import chain, combinations
 
 from komohe.store import RelationType, RelevanceRating
@@ -212,3 +213,19 @@ def brute_force_from(
                 continue
             rows.append((cw, m))
     return rows
+
+
+# ----------------------------------------------------------------------
+# Brute-force corpus count. Scans every document's descriptor set for all
+# of the query's (vocabulary, normalized term) keys; normalization is
+# restated here (case-fold, NFC, whitespace runs collapsed).
+
+
+def oracle_normalize(raw: str) -> str:
+    return " ".join(unicodedata.normalize("NFC", raw.casefold()).split())
+
+
+def brute_force_count(docs, vocab: str, terms) -> int:
+    """Documents of `docs` ({doc id: {(vocab, normalized term)}}) carrying every term."""
+    keys = {(vocab, oracle_normalize(t)) for t in terms}
+    return sum(1 for descriptors in docs.values() if keys <= descriptors)

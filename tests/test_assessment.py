@@ -1,7 +1,10 @@
 import io
 import random
+import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from komohe.assessment import (
     Verdict,
@@ -14,6 +17,7 @@ from komohe.registry import VocabularyRegistry
 from komohe.store import Concept, CrosswalkStore, Mapping, RelationType, RelevanceRating
 
 from conftest import CORPUS_TSV
+from oracles import brute_force_count, oracle_normalize
 
 
 @pytest.fixture
@@ -39,6 +43,13 @@ class TestLoadCorpus:
         load = load_corpus(io.StringIO(text))
         assert load.corpus.count_with("a", "isdn device") == 1
 
+    def test_document_counts_when_its_only_term_is_rejected(self):
+        load = load_corpus(io.StringIO("#corpus v1\nd1\ta\t   \nd2\ta\tx"))
+        assert [no for no, _ in load.errors] == [2]
+        assert len(load.corpus) == 2
+        assert load.corpus.count_with_all("a", ()) == 2
+        assert load.corpus.count_with("a", "x") == 1
+
     def test_counts(self, corpus):
         assert len(corpus) == 20
         assert corpus.count_with("B", "hacking") == 5
@@ -51,6 +62,79 @@ class TestLoadCorpus:
         assert corpus.count_with("B", "crime") == 2
         assert corpus.count_with_all("B", ["computers", "crime"]) == 1
         assert corpus.count_with_all("B", ["internet", "security"]) == 2
+
+
+# Descriptor terms: a few base forms, each spelled in case, whitespace and
+# Unicode-composition variants that normalize to the same key.
+BASE_TERMS = ["hacking", "computers", "crime", "isdn device", "straße", "café"]
+SPELLINGS = [
+    str,
+    str.upper,
+    str.title,
+    lambda t: f"  {t} ",
+    lambda t: t.replace(" ", "   "),
+    lambda t: unicodedata.normalize("NFD", t),
+]
+
+
+def spelled(bases):
+    return st.builds(
+        lambda base, spell: spell(base), st.sampled_from(bases), st.sampled_from(SPELLINGS)
+    )
+
+
+DOC = st.sampled_from(["d1", "d2", "d3", "d4", "d5", "d6"])
+GOOD_LINE = st.tuples(DOC, st.sampled_from(["A", "B"]), spelled(BASE_TERMS)).map("\t".join)
+BAD_LINE = st.one_of(
+    # a rejected term: its document still counts, its descriptor does not
+    st.tuples(st.sampled_from(["d1", "d7"]), st.just("A"), st.sampled_from(["  ", " \u00a0"])).map(
+        "\t".join
+    ),
+    # malformed: nothing on the line counts
+    st.sampled_from(["d1\tA", "\tA\thacking", "d2\t \tcrime", "d3\tA\tcrime\textra"]),
+)
+# good lines, some followed by a bad one, then a third of the good lines
+# again (the same descriptor twice in a document)
+LINES = st.lists(
+    st.tuples(GOOD_LINE, st.lists(BAD_LINE, max_size=1)), min_size=8, max_size=30
+).map(
+    lambda drawn: [line for good, bad in drawn for line in (good, *bad)]
+    + [good for good, _ in drawn[: len(drawn) // 3]]
+)
+# C is a vocabulary no line names and "ghost" a term none does; 2-4 terms
+# make a combination, and a term may repeat in one
+QUERY = st.tuples(
+    st.sampled_from(["A", "B", "C"]), st.lists(spelled([*BASE_TERMS, "ghost"]), max_size=4)
+)
+
+
+def scan_model(lines):
+    """{doc id: {(vocab, normalized term)}} by the corpus TSV's line rules."""
+    docs: dict = {}
+    for line in lines:
+        fields = line.split("\t")
+        if len(fields) != 3 or not fields[0].strip() or not fields[1].strip():
+            continue
+        doc_id, vocab, term = fields
+        descriptors = docs.setdefault(doc_id, set())
+        if oracle_normalize(term):
+            descriptors.add((vocab, oracle_normalize(term)))
+    return docs
+
+
+class TestPostings:
+    @settings(deadline=None)
+    @given(lines=LINES, queries=st.lists(QUERY, min_size=1, max_size=8))
+    def test_counts_match_a_scan_of_every_document(self, lines, queries):
+        load = load_corpus(io.StringIO("\n".join(["#corpus v1", *lines]) + "\n"))
+        docs = scan_model(lines)
+        assert len(load.corpus) == len(docs)
+        for vocab, terms in queries:
+            assert load.corpus.count_with_all(vocab, tuple(terms)) == brute_force_count(
+                docs, vocab, terms
+            )
+            for term in terms:
+                assert load.corpus.count_with(vocab, term) == brute_force_count(docs, vocab, [term])
 
 
 class TestAssessMapping:

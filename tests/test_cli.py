@@ -353,6 +353,14 @@ class TestRobustness:
         assert run(loaded, "serve", "--config", str(config)) == 1
         assert capsys.readouterr().err.startswith("error: read_timeout")
 
+    def test_serve_config_bad_value_names_the_line(self, loaded, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "serve", lambda config: pytest.fail("serve was reached"))
+        config = tmp_path / "service.conf"
+        config.write_text("host = 127.0.0.1\nport = abc\n")
+        assert run(loaded, "serve", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 2: bad value for 'port': 'abc'\n"
+
     @pytest.mark.parametrize("port", ["70000", "-1"])
     def test_serve_port_flag_out_of_range(self, loaded, port, capsys):
         # the flag is checked like the config key, before anything is loaded or bound

@@ -4,7 +4,7 @@ import unicodedata
 
 import pytest
 
-from komohe.errors import ConflictError, InvalidTermError, NotFoundError
+from komohe.errors import ConflictError, FormatError, InvalidTermError, NotFoundError
 from komohe.registry import Term, Vocabulary, VocabularyRegistry, normalize_term
 
 
@@ -151,6 +151,13 @@ class TestTermFiles:
         assert vocab.language == "de"
         assert vocab.name == "Schlagwortnormdatei"
         assert vocab.discipline == "universal"
+
+    @pytest.mark.parametrize("token", ["language=de", "nam=X", "de", "lang"])
+    def test_import_rejects_unknown_header_tokens(self, token):
+        reg = VocabularyRegistry()
+        with pytest.raises(FormatError, match=f"unknown term-list header token '{token}'"):
+            reg.import_terms(io.StringIO(f"#terms swd lang=de {token}\nBildung\n"))
+        assert not reg.has_vocabulary("swd")
 
     def test_import_skips_comments_blanks_and_duplicates(self):
         text = "#terms a\n\n# comment\nHacker\nhacker\nHACKER\n"

@@ -193,6 +193,12 @@ class TestServiceConfig:
         with pytest.raises(InvalidMappingError):
             ServiceConfig.from_file(path)
 
+    def test_from_file_bad_value_names_key_and_line(self, tmp_path):
+        path = tmp_path / "service.conf"
+        path.write_text("host = 127.0.0.1\nport = abc\n")
+        with pytest.raises(InvalidMappingError, match="^line 2: bad value for 'port': 'abc'$"):
+            ServiceConfig.from_file(path)
+
     def test_from_file_errors_name_the_line(self, tmp_path):
         path = tmp_path / "service.conf"
         path.write_text("# service\n\nport = 9090\nmax_expansion_term = 8\n")
