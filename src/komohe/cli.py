@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .assessment import load_corpus, sample_assessment
 from .dataset import Dataset, rejected_line, save_dataset, translate
-from .errors import KomoheError
+from .errors import ConflictError, KomoheError
 from .inference import detect_variant_mappings, export_inferred_tsv, infer_pivot
 from .queries import ExpansionConfig, expand_query, parse_query, render_query
 from .registry import Vocabulary
@@ -157,10 +157,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
         crosswalk, _ = dataset.store.ensure_crosswalk(args.source, args.target)
         promoted = 0
         for m in inferred:
-            mapping = m.as_mapping()
-            if crosswalk.contains(mapping):
+            try:
+                dataset.store.add_mapping(crosswalk.id, m.as_mapping())
+            except ConflictError:
                 continue
-            dataset.store.add_mapping(crosswalk.id, mapping)
             promoted += 1
         save_dataset(dataset, data_dir(args))
         print(f"promoted {promoted} mappings into {crosswalk.id}", file=sys.stderr)

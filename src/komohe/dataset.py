@@ -34,6 +34,7 @@ class Dataset:
 
     registry: VocabularyRegistry
     store: CrosswalkStore
+    rejected_lines: int = 0  # crosswalk lines the load rejected, over all files
 
     @classmethod
     def empty(cls) -> "Dataset":
@@ -48,7 +49,7 @@ class Dataset:
         crosswalks.tsv, and other files in it are ignored; term lists load
         before crosswalks so vocabulary metadata wins over auto-registration.
         Each file with rejected lines gets one warning: their count and the
-        first few.
+        first few. Their total is kept in `rejected_lines`.
         """
         dataset = cls.empty()
         term_files: list[Path] = []
@@ -68,6 +69,7 @@ class Dataset:
         for path in tsv_files:
             with path.open(encoding="utf-8") as fh:
                 errors = dataset.store.import_tsv(fh).errors
+            dataset.rejected_lines += len(errors)
             if errors:
                 first = "; ".join(rejected_line(path, *row) for row in errors[:LOGGED_ERRORS])
                 logger.warning("%s: %d lines rejected, first: %s", path, len(errors), first)

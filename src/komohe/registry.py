@@ -1,7 +1,9 @@
 """Vocabulary registry and the canonical term normalization used everywhere.
 
 Every string that enters the mapping network goes through
-:func:`normalize_term` exactly once; lookups compare normalized keys only.
+:func:`normalize_term`, and lookups compare normalized keys only. A crosswalk
+load normalizes each distinct raw string once per vocabulary: its memo maps
+the raw string to the registry's own key object, so equal terms share it.
 One loader builds the registry; once loading has finished it is only read,
 so it needs no lock.
 """
@@ -180,6 +182,10 @@ class VocabularyRegistry:
         """Find a term by any orthographic variant of its normalized form."""
         self.vocabulary(vocab_id)
         return self._terms[vocab_id].get(normalize_term(raw))
+
+    def term(self, vocab_id: str, normalized: str) -> Term | None:
+        """The term stored under a normalized key; None also for an unknown vocabulary."""
+        return self._terms.get(vocab_id, {}).get(normalized)
 
     def has_term(self, vocab_id: str, normalized: str) -> bool:
         return normalized in self._terms.get(vocab_id, {})

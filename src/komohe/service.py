@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import signal
+import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -312,13 +313,17 @@ def serve(config: ServiceConfig) -> int:
     """Load data, start the service, and block until SIGINT/SIGTERM."""
     if not config.data_paths:
         raise KomoheError("service needs at least one data path")
+    started = time.perf_counter()
     dataset = Dataset.load(config.data_paths)
+    seconds = time.perf_counter() - started
     crosswalks = dataset.store.crosswalks()
     logger.info(
-        "loaded %d vocabularies, %d crosswalks, %d mappings",
+        "loaded %d vocabularies, %d crosswalks, %d mappings in %.2f s, %d lines rejected",
         len(dataset.registry.vocabularies()),
         len(crosswalks),
         sum(len(cw.mappings) for cw in crosswalks),
+        seconds,
+        dataset.rejected_lines,
     )
     server = build_server(dataset, config)
     # SIGTERM stops the service the way Ctrl-C (SIGINT) does

@@ -18,7 +18,7 @@ from urllib.parse import quote, unquote
 
 from .errors import FormatError, InvalidMappingError, InvalidTermError, KomoheError
 from .registry import numbered_lines
-from .store import CrosswalkStore, RelationType, RelevanceRating
+from .store import CrosswalkStore, RelationType, RelevanceRating, TermMemo
 
 SKOS_NS = "http://www.w3.org/2004/02/skos/core#"
 URN_PREFIX = "urn:kos:"
@@ -122,6 +122,7 @@ def import_skos(
     """
     lines = StringIO(stream) if isinstance(stream, str) else stream
     report = SkosImportReport()
+    memo: TermMemo = {}
     # stripped first, so an indented `# ...` line is a comment too
     for line_no, line in numbered_lines(raw.strip() for raw in lines):
         try:
@@ -141,7 +142,7 @@ def import_skos(
                 )
             store.add_row(
                 source_vocab, source_term, relation, target_vocab, [target_term],
-                RelevanceRating.UNRATED,
+                RelevanceRating.UNRATED, memo,
             )
             report.mappings_added += 1
         except KomoheError as exc:

@@ -23,7 +23,10 @@ target vocabulary named for that source vocabulary.
 One loader builds the store; once loading has finished, any number of
 threads may read it, and nothing writes it again, so it needs no lock.
 import_tsv pauses the cyclic garbage collector while it loads and restores
-the caller's setting afterwards.
+the caller's setting afterwards. Its memo maps each raw term string, per
+vocabulary, to the registry's own key object: a raw string seen before skips
+normalize_term and intern_term, and mappings naming one term share its key.
+The memo lives for one load, so no user-supplied string outlives it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import gc
 from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import IO, Iterable
 
 from .errors import (
@@ -91,6 +95,7 @@ class RelevanceRating(Enum):
         return rating
 
 
+_NULL = RelationType.NULL  # a module constant reads faster than the enum member
 _RELATIONS = {relation.value: relation for relation in RelationType}
 _RATINGS = {rating.value: rating for rating in RelevanceRating}
 _RATING_RANK = {
@@ -147,19 +152,19 @@ class Mapping:
     rating: RelevanceRating = RelevanceRating.UNRATED
 
     def __post_init__(self) -> None:
-        if not self.source.is_single:
+        target = self.target
+        if len(self.source.terms) != 1:
             raise InvalidMappingError("mapping source must be a single term")
-        if self.relation is RelationType.NULL and self.target is not None:
-            raise InvalidMappingError("null relation cannot carry a target")
-        if self.relation is not RelationType.NULL and self.target is None:
-            raise InvalidMappingError(
-                f"relation {self.relation.value!r} requires a target"
-            )
+        if self.relation is _NULL:
+            if target is not None:
+                raise InvalidMappingError("null relation cannot carry a target")
+        elif target is None:
+            raise InvalidMappingError(f"relation {self.relation.value!r} requires a target")
         # only a member holding "+" can make the joined label split differently
-        if self.target and any("+" in term for term in self.target.terms):
-            if tuple(self.target.label.split(COMBINATION_JOIN)) != self.target.terms:
+        elif "+" in "".join(target.terms):
+            if tuple(target.label.split(COMBINATION_JOIN)) != target.terms:
                 raise InvalidMappingError(
-                    f"target {self.target.terms!r} cannot be written: "
+                    f"target {target.terms!r} cannot be written: "
                     f"{COMBINATION_JOIN!r} joins combination members"
                 )
 
@@ -188,10 +193,10 @@ class Crosswalk:
     mappings: list[Mapping] = field(default_factory=list)
     # source term -> its mappings in order; the only copy of each list
     by_source: dict[str, list[Mapping]] = field(default_factory=dict, repr=False)
+    id: str = field(init=False)
 
-    @property
-    def id(self) -> str:
-        return f"{self.source_vocab}-{self.target_vocab}"
+    def __post_init__(self) -> None:
+        self.id = f"{self.source_vocab}-{self.target_vocab}"
 
     def contains(self, mapping: Mapping) -> bool:
         """True when an identical (source, relation, target) triple is stored."""
@@ -211,6 +216,10 @@ class ImportReport:
     crosswalks_created: int = 0
     mappings_added: int = 0
     errors: list[tuple[int, str]] = field(default_factory=list)
+
+
+_BY_ID = attrgetter("id")
+TermMemo = dict[str, dict[str, str]]  # a load's vocabulary -> {raw term: registry key}
 
 
 def tsv_row(source_vocab: str, mapping: Mapping, target_vocab: str) -> str:
@@ -253,14 +262,13 @@ class CrosswalkStore:
     # crosswalk management
 
     def create_crosswalk(self, source_vocab: str, target_vocab: str) -> Crosswalk:
-        crosswalk = self._new_crosswalk(source_vocab, target_vocab)
-        self.registry.vocabulary(source_vocab)
-        self.registry.vocabulary(target_vocab)
-        self._crosswalks[crosswalk.id] = crosswalk
-        return crosswalk
+        """A new crosswalk between two registered vocabularies."""
+        return self._add_crosswalk(source_vocab, target_vocab, auto_register=False)
 
-    def _new_crosswalk(self, source_vocab: str, target_vocab: str) -> Crosswalk:
-        """An unstored crosswalk; raises unless the two differ and its id is free."""
+    def _add_crosswalk(self, source_vocab: str, target_vocab: str, auto_register: bool) -> Crosswalk:
+        """Store a new crosswalk once the two vocabularies differ, its id is free
+        and both are registered or, with `auto_register`, both have valid ids;
+        only then are the unknown ones registered."""
         if source_vocab == target_vocab:
             raise InvalidMappingError(
                 f"crosswalk source and target must differ (got {source_vocab!r})"
@@ -274,6 +282,15 @@ class CrosswalkStore:
                     f"{existing.source_vocab!r}->{existing.target_vocab!r}"
                 )
             raise ConflictError(f"crosswalk {crosswalk.id!r} already exists")
+        vocab_ids = (source_vocab, target_vocab)
+        if auto_register:
+            unknown = [Vocabulary(v) for v in vocab_ids if not self.registry.has_vocabulary(v)]
+            for vocabulary in unknown:
+                self.registry.register_vocabulary(vocabulary)
+        else:
+            for vocab_id in vocab_ids:
+                self.registry.vocabulary(vocab_id)
+        self._crosswalks[crosswalk.id] = crosswalk
         return crosswalk
 
     def ensure_crosswalk(self, source_vocab: str, target_vocab: str) -> tuple[Crosswalk, bool]:
@@ -309,26 +326,28 @@ class CrosswalkStore:
         relation, target) triples within one crosswalk are conflicts.
         """
         crosswalk = self.crosswalk(crosswalk_id)
+        target_terms = mapping.target.terms if mapping.target is not None else ()
+        for vocab_id, terms in (
+            (crosswalk.source_vocab, mapping.source.terms),
+            (crosswalk.target_vocab, target_terms),
+        ):
+            for term in terms:
+                if not self.registry.has_term(vocab_id, term):
+                    raise NotFoundError(f"term {term!r} not registered in {vocab_id!r}")
+        self._insert(crosswalk, mapping)
+        return f"{crosswalk_id}:{len(crosswalk.mappings)}"
+
+    def _insert(self, crosswalk: Crosswalk, mapping: Mapping) -> None:
+        """Index a mapping whose terms are registered; a duplicate triple is a conflict."""
         source_term = mapping.source.terms[0]
-        if not self.registry.has_term(crosswalk.source_vocab, source_term):
-            raise NotFoundError(
-                f"term {source_term!r} not registered in {crosswalk.source_vocab!r}"
-            )
-        if mapping.target is not None:
-            for member in mapping.target.terms:
-                if not self.registry.has_term(crosswalk.target_vocab, member):
-                    raise NotFoundError(
-                        f"term {member!r} not registered in {crosswalk.target_vocab!r}"
-                    )
-        if crosswalk.contains(mapping):
-            raise ConflictError(f"duplicate mapping {mapping.label!r} in {crosswalk_id!r}")
-        crosswalk.mappings.append(mapping)
         same_source = crosswalk.by_source.get(source_term)
         if same_source is None:
             same_source = crosswalk.by_source[source_term] = []
-            insort(self._by_source.setdefault(source_term, []), crosswalk, key=lambda c: c.id)
+            insort(self._by_source.setdefault(source_term, []), crosswalk, key=_BY_ID)
+        elif crosswalk.contains(mapping):
+            raise ConflictError(f"duplicate mapping {mapping.label!r} in {crosswalk.id!r}")
+        crosswalk.mappings.append(mapping)
         same_source.append(mapping)
-        return f"{crosswalk_id}:{len(crosswalk.mappings)}"
 
     def add_row(
         self,
@@ -338,31 +357,44 @@ class CrosswalkStore:
         target_vocab: str,
         target_terms: list[str],
         rating: RelevanceRating,
+        memo: TermMemo | None = None,
     ) -> bool:
         """Store one TSV or SKOS row; returns whether it created its crosswalk.
 
         The mapping, and for a new crosswalk both vocabulary ids, their
         difference and the crosswalk id, are checked before anything is
         registered; unknown vocabularies and terms are then auto-registered.
+        `memo` is the loader's memo; a term enters it once it is registered.
         """
-        source = Concept((normalize_term(source_term),))
-        target = Concept.combination(target_terms) if target_terms else None
-        mapping = Mapping(source=source, relation=relation, target=target, rating=rating)
+        memo = {} if memo is None else memo
+        source_keys = memo.setdefault(source_vocab, {})
+        target_keys = memo.setdefault(target_vocab, {})
+        misses: list[tuple[str, dict[str, str], str, str]] = []
+        source = Concept((self._key(source_vocab, source_keys, source_term, misses),))
+        members = tuple(self._key(target_vocab, target_keys, t, misses) for t in target_terms)
+        target = Concept(members) if members else None
+        mapping = Mapping(source, relation, target, rating)
         crosswalk = self.find_crosswalk(source_vocab, target_vocab)
         created = crosswalk is None
         if created:
-            crosswalk = self._new_crosswalk(source_vocab, target_vocab)
-            vocabularies = [Vocabulary(source_vocab), Vocabulary(target_vocab)]  # checks the ids
-            for vocabulary in vocabularies:
-                if not self.registry.has_vocabulary(vocabulary.id):
-                    self.registry.register_vocabulary(vocabulary)
-            self._crosswalks[crosswalk.id] = crosswalk
-        self.registry.intern_term(source_vocab, source.terms[0], source_term)
-        if target is not None:
-            for normalized, display in zip(target.terms, target_terms):
-                self.registry.intern_term(target_vocab, normalized, display)
-        self.add_mapping(crosswalk.id, mapping)
+            crosswalk = self._add_crosswalk(source_vocab, target_vocab, auto_register=True)
+        for vocab_id, keys, key, raw in misses:
+            keys[raw] = self.registry.intern_term(vocab_id, key, raw).normalized
+        self._insert(crosswalk, mapping)
         return created
+
+    def _key(self, vocab_id: str, keys: dict[str, str], raw: str, misses: list) -> str:
+        """The registry key for a raw term, from the memo `keys` if it is there; a
+        term the registry holds already enters it now, a new one is queued in
+        `misses` for add_row to register once the row has passed its checks."""
+        key = keys.get(raw)
+        if key is None:
+            key = normalize_term(raw)
+            if (term := self.registry.term(vocab_id, key)) is not None:
+                keys[raw] = key = term.normalized
+            else:
+                misses.append((vocab_id, keys, key, raw))
+        return key
 
     def mappings_from(
         self,
@@ -438,6 +470,7 @@ class CrosswalkStore:
         # source vocab -> target vocab last named for it; context for null
         # rows whose target vocabulary column is empty.
         last_target_for: dict[str, str] = {}
+        memo: TermMemo = {}
         # A load frees almost no cycles, yet each full collection re-scans the growing
         # store: pause the collector, then restore the caller's state. The ~590k objects
         # a 100k load leaves uncounted cost a later allocation one 0.1-0.25 s collection.
@@ -446,7 +479,7 @@ class CrosswalkStore:
         try:
             for line_no, line in lines:
                 try:
-                    created = self._import_line(line, last_target_for)
+                    created = self._import_line(line, last_target_for, memo)
                 except KomoheError as exc:
                     report.errors.append((line_no, str(exc)))
                     continue
@@ -457,7 +490,7 @@ class CrosswalkStore:
                 gc.enable()
         return report
 
-    def _import_line(self, line: str, last_target_for: dict[str, str]) -> bool:
+    def _import_line(self, line: str, last_target_for: dict[str, str], memo: TermMemo) -> bool:
         """Check one data line's columns and store it through add_row."""
         fields = line.split("\t")
         if len(fields) > 6:
@@ -473,7 +506,7 @@ class CrosswalkStore:
         relation = RelationType.parse(relation_sym)
         rating = RelevanceRating.parse(rating_text)
         members = target_terms.split(COMBINATION_JOIN) if target_terms.strip() else []
-        if relation is not RelationType.NULL and not target_vocab:
+        if relation is not _NULL and not target_vocab:
             raise InvalidMappingError("missing target vocabulary")
         target_vocab = target_vocab or last_target_for.get(source_vocab, "")
         if not target_vocab:
@@ -482,7 +515,9 @@ class CrosswalkStore:
                 f"crosswalk for source vocabulary {source_vocab!r}"
             )
         last_target_for[source_vocab] = target_vocab
-        return self.add_row(source_vocab, source_term, relation, target_vocab, members, rating)
+        return self.add_row(
+            source_vocab, source_term, relation, target_vocab, members, rating, memo
+        )
 
     def export_tsv(self, crosswalk_ids: Iterable[str] | None = None) -> str:
         """Render crosswalks as TSV; re-importing reproduces the store.

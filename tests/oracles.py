@@ -10,7 +10,8 @@ from __future__ import annotations
 import unicodedata
 from itertools import chain, combinations
 
-from komohe.store import RelationType, RelevanceRating
+from komohe.errors import KomoheError
+from komohe.store import Concept, Mapping, RelationType, RelevanceRating
 
 # ----------------------------------------------------------------------
 # Relation composition via a set model.
@@ -229,3 +230,39 @@ def brute_force_count(docs, vocab: str, terms) -> int:
     """Documents of `docs` ({doc id: {(vocab, normalized term)}}) carrying every term."""
     keys = {(vocab, oracle_normalize(t)) for t in terms}
     return sum(1 for descriptors in docs.values() if keys <= descriptors)
+
+
+# ----------------------------------------------------------------------
+# Row-by-row crosswalk load. Builds a store through the public, fully
+# checked path only: each row's mapping is made from scratch, then
+# add_term, ensure_crosswalk and add_mapping store it, with no memo and no
+# shortcut past a check. Rows come split into their six columns, and each
+# names its target vocabulary.
+
+
+def row_by_row_load(store, rows) -> list[tuple[int, str]]:
+    """Load (source vocab, source term, relation symbol, target vocab, target
+    terms, rating) rows into `store`; returns (line, reason) for each rejected
+    row, numbered from 2 as the rows of a TSV file after its header."""
+    errors = []
+    for line_no, row in enumerate(rows, start=2):
+        source_vocab, source_term, symbol, target_vocab, targets, rating_text = row
+        try:
+            relation = RelationType.parse(symbol)
+            rating = RelevanceRating.parse(rating_text)
+            members = targets.split(" + ") if targets.strip() else []
+            target = Concept.combination(members) if members else None
+            mapping = Mapping(Concept.single(source_term), relation, target, rating)
+            # ensure_crosswalk rejects an equal pair before it reads the
+            # registry, so such a row registers no vocabulary
+            if source_vocab != target_vocab:
+                store.registry.ensure_vocabulary(source_vocab)
+                store.registry.ensure_vocabulary(target_vocab)
+            crosswalk, _ = store.ensure_crosswalk(source_vocab, target_vocab)
+            store.registry.add_term(source_vocab, source_term)
+            for member in members:
+                store.registry.add_term(target_vocab, member)
+            store.add_mapping(crosswalk.id, mapping)
+        except KomoheError as exc:
+            errors.append((line_no, str(exc)))
+    return errors

@@ -1,5 +1,6 @@
 """Property tests: TSV, SKOS and data-dir round trips, normalization, the
-shared line reader, and the /expand route on fuzzed queries."""
+shared line reader, the TSV load against a row-by-row oracle, and the
+/expand route on fuzzed queries."""
 
 import tempfile
 from pathlib import Path
@@ -26,7 +27,7 @@ from komohe.store import (
 )
 
 from conftest import SIXROW_TSV
-from oracles import brute_force_from, brute_force_reverse
+from oracles import brute_force_from, brute_force_reverse, row_by_row_load
 
 PROPERTY = settings(deadline=None)
 
@@ -325,6 +326,41 @@ def test_mappings_to_matches_brute_force(rows):
         for target_vocab in (None, *REVERSE_VOCABS):
             expected = brute_force_reverse(store.crosswalks(), term, target_vocab)
             assert store.mappings_to(term, target_vocab=target_vocab) == expected
+
+
+# Case and whitespace variants of a few terms, an empty term, and one whose
+# no-break spaces normalize into the combination join; with three
+# vocabularies and repeated rows a load meets each raw string several times.
+LOAD_TERMS = ["Hacker", " hacker", "HACKER  ", "Straße", "STRASSE", "isdn device", "isdn  Device"]
+LOAD_TERM = st.sampled_from([*LOAD_TERMS, "  ", "a\u00a0+\u00a0b"])
+LOAD_ROW = st.tuples(
+    st.sampled_from(["a", "b", "c"]),
+    LOAD_TERM,
+    st.sampled_from(["=", "<", "^", "0", "0", "?"]),
+    st.sampled_from(["a", "b", "c"]),
+    st.lists(LOAD_TERM, max_size=3).map(COMBINATION_JOIN.join),
+    st.sampled_from(["high", "", "low", "superb"]),
+)
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(LOAD_TERMS), max_size=3), st.lists(LOAD_ROW, max_size=30))
+def test_tsv_load_matches_a_row_by_row_load(preloaded, rows):
+    rows = rows + rows[: len(rows) // 2]  # duplicates, and memo hits on known raw strings
+    fast, slow = CrosswalkStore(VocabularyRegistry()), CrosswalkStore(VocabularyRegistry())
+    for store in (fast, slow):  # a term list loaded first: its display forms win
+        store.registry.ensure_vocabulary("a")
+        for term in preloaded:
+            store.registry.add_term("a", term)
+    report = fast.import_tsv("#komohe-tsv v1\n" + "".join("\t".join(r) + "\n" for r in rows))
+    errors = row_by_row_load(slow, rows)
+    assert report.errors == errors
+    assert report.mappings_added == len(rows) - len(errors)
+    assert fast.export_tsv() == slow.export_tsv()
+    vocabularies = [v.id for v in slow.registry.vocabularies()]
+    assert [v.id for v in fast.registry.vocabularies()] == vocabularies
+    for vocab in vocabularies:
+        assert fast.registry.export_terms(vocab) == slow.registry.export_terms(vocab)
 
 
 EXPAND_DATASET = Dataset.empty()

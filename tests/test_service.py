@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+import re
 import socket
 import statistics
 import threading
@@ -13,6 +14,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
+from komohe import service
 from komohe.errors import ConflictError, InvalidMappingError, NotFoundError
 from komohe.queries import MAX_QUERY_LEAVES, parse_query, render_query
 from komohe.registry import Vocabulary, VocabularyRegistry
@@ -127,6 +129,28 @@ class TestDatasetLoad:
         assert "50 lines rejected" in caplog.text
         assert "crosswalks.tsv:6:" in caplog.text  # the first five: lines 2 to 6
         assert "crosswalks.tsv:7:" not in caplog.text
+
+    def test_serve_logs_load_seconds_and_rejected_lines(self, tmp_path, monkeypatch, caplog):
+        (tmp_path / "crosswalks.tsv").write_text(
+            "#komohe-tsv v1\na\tx\t=\tb\ty\thigh\na\tx\t?\tb\ty\thigh\na\tx\t=\tb\ty\thigh\n"
+        )
+
+        class StoppedServer:
+            server_address = ("127.0.0.1", 8080)
+
+            def serve_forever(self):
+                raise KeyboardInterrupt
+
+            def server_close(self):
+                pass
+
+        monkeypatch.setattr(service, "build_server", lambda dataset, config: StoppedServer())
+        monkeypatch.setattr(service.signal, "signal", lambda *args: None)
+        with caplog.at_level(logging.INFO, logger="komohe"):
+            assert service.serve(ServiceConfig(data_paths=[tmp_path])) == 0
+        loaded = r"loaded 2 vocabularies, 1 crosswalks, 1 mappings in \d+\.\d\d s, 2 lines rejected"
+        assert re.search(loaded, caplog.text)
+        assert "serving on 127.0.0.1:8080" in caplog.text
 
 
 class TestServiceConfig:

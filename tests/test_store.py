@@ -469,6 +469,31 @@ class TestAddRow:
         assert len(cw.mappings) == 2
 
 
+class TestLoadTermMemo:
+    def test_mappings_naming_one_term_share_the_registry_key(self):
+        registry = VocabularyRegistry()
+        registry.ensure_vocabulary("b")
+        registry.add_term("b", "Crime")  # known before the load
+        store = CrosswalkStore(registry)
+        report = store.import_tsv(
+            f"{TSV_HEADER}\n"
+            "a\tHacker News\t=\tb\tcrime\t\n"
+            "a\tHacker News\t^\tb\tcomputers + CRIME\t\n"
+            "a\t hacker  news\t<\tc\tcrime\t\n"
+            "c\tcrime\t=\ta\tHACKER NEWS\t\n"
+        )
+        assert not report.errors
+        cw = {c.id: c.mappings for c in store.crosswalks()}
+        hacker = registry.lookup_term("a", "hacker news").normalized
+        crime = registry.lookup_term("b", "crime").normalized
+        assert all(m.source.terms[0] is hacker for m in cw["a-b"] + cw["a-c"])
+        assert cw["c-a"][0].target.terms[0] is hacker
+        assert cw["a-b"][0].target.terms[0] is crime
+        assert cw["a-b"][1].target.terms[1] is crime
+        # the same string in another vocabulary is that vocabulary's own key
+        assert cw["a-c"][0].target.terms[0] is registry.lookup_term("c", "crime").normalized
+
+
 class TestTsvExport:
     def test_empty_store_is_header_only(self):
         store = fresh_store()
