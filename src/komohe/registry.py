@@ -3,7 +3,8 @@
 Every string that enters the mapping network goes through
 :func:`normalize_term`, and lookups compare normalized keys only. A crosswalk
 load normalizes each distinct raw string once per vocabulary: its memo maps
-the raw string to the registry's own key object, so equal terms share it.
+the raw string to one Concept around the registry's own key object, so
+equal terms share both. A display form equal to its key is that key object.
 One loader builds the registry; once loading has finished it is only read,
 so it needs no lock.
 """
@@ -96,6 +97,10 @@ class Vocabulary:
             raise InvalidTermError(
                 f"language {self.language!r} is not a two-letter ISO 639-1 code"
             )
+        for key, text in (("name", self.name), ("discipline", self.discipline)):
+            # the term-list header that keeps it is one line
+            if "".join(text.splitlines()) != text:
+                raise InvalidTermError(f"vocabulary {key} {text!r} contains a line break")
         if not self.name:
             self.name = self.id
 
@@ -174,6 +179,7 @@ class VocabularyRegistry:
         # Outer whitespace and line breaks would not survive a term-list
         # save and reload; other inner spacing is part of the display form.
         display = " ".join(display.strip().splitlines())
+        display = normalized if display == normalized else display  # one object for both
         term = Term(vocabulary=vocab_id, normalized=normalized, display=display)
         terms[normalized] = term
         return term
@@ -210,7 +216,10 @@ class VocabularyRegistry:
         given it must match the header.
         """
         header, lines = read_numbered_lines(stream, f"{TERMS_HEADER} <vocab-id>")
-        fields = shlex.split(header)
+        try:
+            fields = shlex.split(header)
+        except ValueError as exc:  # an unclosed quote or a trailing escape
+            raise FormatError(f"bad term-list header {header!r}: {exc}") from None
         if len(fields) < 2 or fields[0] != TERMS_HEADER:
             raise FormatError(f"bad term-list header {header!r}")
         file_vocab = fields[1]

@@ -290,7 +290,8 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
         }, 200
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        logger.debug("%s - %s", self.address_string(), format % args)
+        # the line is formatted only when DEBUG is on
+        logger.debug("%s - " + format, self.address_string(), *args)
 
 
 def build_server(dataset: Dataset, config: ServiceConfig) -> ThreadingHTTPServer:

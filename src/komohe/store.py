@@ -23,10 +23,11 @@ target vocabulary named for that source vocabulary.
 One loader builds the store; once loading has finished, any number of
 threads may read it, and nothing writes it again, so it needs no lock.
 import_tsv pauses the cyclic garbage collector while it loads and restores
-the caller's setting afterwards. Its memo maps each raw term string, per
-vocabulary, to the registry's own key object: a raw string seen before skips
-normalize_term and intern_term, and mappings naming one term share its key.
-The memo lives for one load, so no user-supplied string outlives it.
+the caller's setting afterwards. Its memo maps each raw term string and key,
+per vocabulary, to one Concept around the registry's own key object: a raw
+string seen before skips normalize_term and intern_term, and mappings naming
+one term share that Concept (a combination, its key). The memo lives for one
+load, so no user-supplied string outlives it.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ class ImportReport:
 
 
 _BY_ID = attrgetter("id")
-TermMemo = dict[str, dict[str, str]]  # a load's vocabulary -> {raw term: registry key}
+TermMemo = dict[str, dict[str, Concept]]  # a load's vocabulary -> {raw term or key: Concept}
 
 
 def tsv_row(source_vocab: str, mapping: Mapping, target_vocab: str) -> str:
@@ -342,12 +343,14 @@ class CrosswalkStore:
         source_term = mapping.source.terms[0]
         same_source = crosswalk.by_source.get(source_term)
         if same_source is None:
-            same_source = crosswalk.by_source[source_term] = []
+            # most sources map once per crosswalk: an exact-size list, not append's four slots
+            crosswalk.by_source[source_term] = [mapping]
             insort(self._by_source.setdefault(source_term, []), crosswalk, key=_BY_ID)
         elif crosswalk.contains(mapping):
             raise ConflictError(f"duplicate mapping {mapping.label!r} in {crosswalk.id!r}")
+        else:
+            same_source.append(mapping)
         crosswalk.mappings.append(mapping)
-        same_source.append(mapping)
 
     def add_row(
         self,
@@ -367,34 +370,41 @@ class CrosswalkStore:
         `memo` is the loader's memo; a term enters it once it is registered.
         """
         memo = {} if memo is None else memo
-        source_keys = memo.setdefault(source_vocab, {})
-        target_keys = memo.setdefault(target_vocab, {})
-        misses: list[tuple[str, dict[str, str], str, str]] = []
-        source = Concept((self._key(source_vocab, source_keys, source_term, misses),))
-        members = tuple(self._key(target_vocab, target_keys, t, misses) for t in target_terms)
-        target = Concept(members) if members else None
+        target_concepts = memo.setdefault(target_vocab, {})
+        misses: list[tuple[str, dict[str, Concept], str, Concept]] = []
+        source = self._concept(source_vocab, memo.setdefault(source_vocab, {}), source_term, misses)
+        targets = [self._concept(target_vocab, target_concepts, t, misses) for t in target_terms]
+        if len(targets) > 1:
+            target = Concept(tuple(concept.terms[0] for concept in targets))
+        else:
+            target = targets[0] if targets else None
         mapping = Mapping(source, relation, target, rating)
         crosswalk = self.find_crosswalk(source_vocab, target_vocab)
         created = crosswalk is None
         if created:
             crosswalk = self._add_crosswalk(source_vocab, target_vocab, auto_register=True)
-        for vocab_id, keys, key, raw in misses:
-            keys[raw] = self.registry.intern_term(vocab_id, key, raw).normalized
+        for vocab_id, concepts, raw, concept in misses:
+            key = self.registry.intern_term(vocab_id, concept.terms[0], raw).normalized
+            # a key another member of this row registered first keeps that member's Concept
+            concepts[raw] = concepts.setdefault(key, concept)
         self._insert(crosswalk, mapping)
         return created
 
-    def _key(self, vocab_id: str, keys: dict[str, str], raw: str, misses: list) -> str:
-        """The registry key for a raw term, from the memo `keys` if it is there; a
-        term the registry holds already enters it now, a new one is queued in
-        `misses` for add_row to register once the row has passed its checks."""
-        key = keys.get(raw)
-        if key is None:
+    def _concept(self, vocab_id: str, concepts: dict, raw: str, misses: list) -> Concept:
+        """A raw term's Concept, from the memo `concepts` by raw string or key; a term
+        the registry holds already enters it now, a new one is queued in `misses`
+        for add_row to register once the row has passed its checks."""
+        concept = concepts.get(raw)
+        if concept is None:
             key = normalize_term(raw)
-            if (term := self.registry.term(vocab_id, key)) is not None:
-                keys[raw] = key = term.normalized
-            else:
-                misses.append((vocab_id, keys, key, raw))
-        return key
+            if (concept := concepts.get(key)) is None:
+                if (term := self.registry.term(vocab_id, key)) is None:
+                    concept = Concept((key,))
+                    misses.append((vocab_id, concepts, raw, concept))
+                    return concept
+                concept = concepts[term.normalized] = Concept((term.normalized,))
+            concepts[raw] = concept
+        return concept
 
     def mappings_from(
         self,
@@ -472,8 +482,8 @@ class CrosswalkStore:
         last_target_for: dict[str, str] = {}
         memo: TermMemo = {}
         # A load frees almost no cycles, yet each full collection re-scans the growing
-        # store: pause the collector, then restore the caller's state. The ~590k objects
-        # a 100k load leaves uncounted cost a later allocation one 0.1-0.25 s collection.
+        # store: pause the collector, then restore the caller's state. The ~320k objects
+        # a 100k load leaves uncounted cost a later allocation one ~0.1 s collection.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:

@@ -86,6 +86,16 @@ class TestTermsCommand:
         header = (datadir / "swd.terms").read_text(encoding="utf-8").splitlines()[0]
         assert header == "#terms swd lang=de name=Schlagwort"
 
+    @pytest.mark.parametrize("flag", ["--name", "--discipline"])
+    def test_line_break_in_metadata_is_error_and_writes_nothing(
+        self, datadir, tmp_path, flag, capsys
+    ):
+        listing = tmp_path / "t.terms"
+        listing.write_text("#terms swd\nSoziologie\n", encoding="utf-8")
+        assert run(datadir, "terms", "swd", str(listing), flag, "Sach\nwort") == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not datadir.exists()
+
 
 class TestLookup:
     def test_rows(self, loaded, capsys):

@@ -1,6 +1,6 @@
-"""Property tests: TSV, SKOS and data-dir round trips, normalization, the
-shared line reader, the TSV load against a row-by-row oracle, and the
-/expand route on fuzzed queries."""
+"""Property tests: TSV, SKOS and data-dir round trips (vocabulary metadata
+included), normalization, the shared line reader, the TSV load against a
+row-by-row oracle, and the /expand route on fuzzed queries."""
 
 import tempfile
 from pathlib import Path
@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from komohe.assessment import load_corpus
 from komohe.dataset import Dataset, save_dataset
 from komohe.errors import ConflictError, InvalidMappingError, InvalidTermError, KomoheError
-from komohe.registry import VocabularyRegistry, normalize_term, read_numbered_lines
+from komohe.registry import (
+    ISO_639_1,
+    Vocabulary,
+    VocabularyRegistry,
+    normalize_term,
+    read_numbered_lines,
+)
 from komohe.service import KomoheRequestHandler, ServiceConfig
 from komohe.skos import export_skos, import_skos
 from komohe.store import (
@@ -210,6 +216,36 @@ def test_saved_data_dir_reloads_to_the_same_store(rows):
     assert [v.id for v in again.registry.vocabularies()] == ids
     for vocab_id in ids:
         assert again.registry.export_terms(vocab_id) == dataset.registry.export_terms(vocab_id)
+
+
+# metadata salted with line breaks str.splitlines splits on, quotes, the
+# shell escape, `=` (the header's key/value join), `#` and spaces
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+META_SALT = [*LINE_BREAKS, "'", '"', "\\", "=", "#", " "]
+META_TEXT = st.lists(st.one_of(st.text(max_size=4), st.sampled_from(META_SALT)), max_size=4).map(
+    "".join
+)
+VOCABULARY = st.tuples(
+    st.one_of(VOCAB_ID, st.text(max_size=6)),
+    META_TEXT,
+    st.one_of(st.sampled_from(sorted(ISO_639_1)), st.sampled_from(["", "EN", "zz", "eng"])),
+    META_TEXT,
+)
+
+
+@PROPERTY
+@given(st.lists(VOCABULARY, max_size=4))
+def test_vocabulary_metadata_survives_a_data_dir_round_trip(fields):
+    dataset = Dataset.empty()
+    for vocab_id, name, language, discipline in fields:
+        try:
+            dataset.registry.register_vocabulary(Vocabulary(vocab_id, name, language, discipline))
+        except KomoheError:
+            continue
+    with tempfile.TemporaryDirectory() as directory:
+        save_dataset(dataset, Path(directory))
+        again = Dataset.load([Path(directory)])
+    assert again.registry.vocabularies() == dataset.registry.vocabularies()
 
 
 # URI delimiters, the escape character, the crosswalk id join and non-ASCII

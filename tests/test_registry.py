@@ -1,5 +1,6 @@
 import io
 import random
+import re
 import unicodedata
 
 import pytest
@@ -70,6 +71,17 @@ class TestVocabulary:
         Vocabulary("x", language="de")
         Vocabulary("x", language="ru")
 
+    @pytest.mark.parametrize(
+        "text", ["Sach\nwort", "Sach\r\nwort", "Sachwort\n", "a\u2028b", "a\x85b"]
+    )
+    def test_rejects_line_break_in_name_or_discipline(self, text):
+        # a term-list header is one line, so such metadata would not reload
+        with pytest.raises(InvalidTermError, match="line break"):
+            Vocabulary("x", name=text)
+        with pytest.raises(InvalidTermError, match="line break"):
+            Vocabulary("x", discipline=text)
+        assert Vocabulary("x", name="Sach wort\t'quoted'").name == "Sach wort\t'quoted'"
+
 
 class TestRegistry:
     def test_register_and_fetch(self):
@@ -91,6 +103,16 @@ class TestRegistry:
             reg.vocabulary("nope")
         with pytest.raises(NotFoundError):
             reg.terms("nope")
+
+    def test_display_equal_to_its_key_is_the_key_object(self):
+        reg = VocabularyRegistry()
+        reg.ensure_vocabulary("a")
+        plain = reg.add_term("a", "crime")
+        assert plain.display is plain.normalized
+        spaced = reg.add_term("a", "  data  privacy\n")  # trimmed to a different display form
+        assert spaced.display == "data  privacy" and spaced.normalized == "data privacy"
+        cased = reg.intern_term("a", "hacker", "hacker ")  # trimmed to the key itself
+        assert cased.display is cased.normalized
 
     def test_ensure_vocabulary_is_idempotent(self):
         reg = VocabularyRegistry()
@@ -163,6 +185,13 @@ class TestTermFiles:
         text = "#terms a\n\n# comment\nHacker\nhacker\nHACKER\n"
         reg = VocabularyRegistry()
         assert reg.import_terms(io.StringIO(text)) == 1
+
+    @pytest.mark.parametrize("header", ['#terms "swd', "#terms swd name='x", "#terms swd \\"])
+    def test_import_header_shell_syntax_error_is_format_error(self, header):
+        reg = VocabularyRegistry()
+        with pytest.raises(FormatError, match=f"bad term-list header {re.escape(repr(header))}"):
+            reg.import_terms(io.StringIO(f"{header}\nBildung\n"))
+        assert reg.vocabularies() == []
 
     def test_import_vocab_mismatch(self):
         reg = VocabularyRegistry()

@@ -526,6 +526,30 @@ class TestErrorResponsesAreSent:
             conn.close()
 
 
+class TestAccessLog:
+    @pytest.mark.parametrize(
+        "format, args",
+        [
+            ('"%s" %s %s', ("GET /x?q=100%25 HTTP/1.1", "200", "-")),
+            ("code %d, message %s", (404, "50% off")),
+        ],
+    )
+    def test_debug_line_is_unchanged_and_formatted_lazily(self, format, args, caplog):
+        handler = service.KomoheRequestHandler.__new__(service.KomoheRequestHandler)
+        handler.client_address = ("127.0.0.1", 50000)
+        with caplog.at_level(logging.DEBUG, logger="komohe.service"):
+            handler.log_message(format, *args)
+        [record] = caplog.records
+        assert record.getMessage() == "%s - %s" % ("127.0.0.1", format % args)
+        assert record.args[1:] == args  # kept apart until a handler formats them
+
+    def test_a_request_logs_one_access_line_at_debug(self, base_url, caplog):
+        with caplog.at_level(logging.DEBUG, logger="komohe.service"):
+            assert get(base_url, "/vocabularies")[0] == 200
+        lines = [r.getMessage() for r in caplog.records if r.name == "komohe.service"]
+        assert lines == ['127.0.0.1 - "GET /vocabularies HTTP/1.1" 200 -']
+
+
 class TestHttpServerErrorsAreJson:
     def test_unsupported_method(self, base_url):
         request = b"POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"

@@ -8,6 +8,7 @@ from komohe.errors import (
     FormatError,
     InvalidMappingError,
     InvalidTermError,
+    KomoheError,
     NotFoundError,
 )
 from komohe.registry import Term, VocabularyRegistry
@@ -492,6 +493,60 @@ class TestLoadTermMemo:
         assert cw["a-b"][1].target.terms[1] is crime
         # the same string in another vocabulary is that vocabulary's own key
         assert cw["a-c"][0].target.terms[0] is registry.lookup_term("c", "crime").normalized
+
+
+class TestLoadConceptMemo:
+    def test_mappings_naming_one_term_share_one_concept(self):
+        registry = VocabularyRegistry()
+        registry.ensure_vocabulary("b")
+        registry.add_term("b", "Crime")  # known before the load
+        store = CrosswalkStore(registry)
+        report = store.import_tsv(
+            f"{TSV_HEADER}\n"
+            "a\tHacker News\t=\tb\tcrime\t\n"
+            "a\t hacker  news\t^\tb\tcomputers + CRIME\t\n"
+            "a\tHACKER NEWS\t<\tc\tCrime\t\n"
+            "c\tcrime\t=\ta\thacker news\t\n"
+            "b\t CRIME \t>\ta\tHacker News\t\n"
+        )
+        assert not report.errors
+        mappings = {c.id: c.mappings for c in store.crosswalks()}
+        # as a source and as a single target, under every spelling
+        hacker = mappings["a-b"][0].source
+        assert all(m.source is hacker for m in mappings["a-b"] + mappings["a-c"])
+        assert mappings["c-a"][0].target is hacker
+        assert mappings["b-a"][0].target is hacker
+        crime_b = mappings["a-b"][0].target
+        assert mappings["b-a"][0].source is crime_b
+        assert crime_b.terms[0] is registry.lookup_term("b", "crime").normalized
+        # a combination holds the key, and another vocabulary has its own Concept
+        assert mappings["a-b"][1].target.terms[1] is crime_b.terms[0]
+        crime_c = mappings["a-c"][0].target
+        assert crime_c is not crime_b and mappings["c-a"][0].source is crime_c
+
+    def test_a_combination_naming_one_new_term_twice_shares_its_key(self):
+        store = CrosswalkStore(VocabularyRegistry())
+        store.import_tsv(f"{TSV_HEADER}\na\tx\t=\tb\tNew + new\t\na\ty\t=\tb\tNEW\t\n")
+        first, second = store.crosswalk("a-b").mappings
+        key = store.registry.lookup_term("b", "new").normalized
+        assert first.target.terms[0] is key and second.target.terms[0] is key
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ("a", "New Source", RelationType.NULL, "b", ["New Target"]),  # null with a target
+            ("a", "New Source", RelationType.EQ, "a", ["New Target"]),  # self crosswalk
+            ("a", "New Source", RelationType.EQ, "b", ["New Target", " "]),  # empty member
+            ("a", "New Source", RelationType.EQ, "b", ["New\u00a0+\u00a0Target"]),  # holds the join
+        ],
+    )
+    def test_rejected_row_leaves_nothing_in_the_memo(self, row):
+        store = CrosswalkStore(VocabularyRegistry())
+        memo = {}
+        with pytest.raises(KomoheError):
+            store.add_row(*row, RelevanceRating.UNRATED, memo)
+        assert not any(memo.values())
+        assert store.registry.vocabularies() == []
 
 
 class TestTsvExport:
