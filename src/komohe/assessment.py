@@ -1,13 +1,16 @@
 """Spot-check mappings against a descriptor-indexed document corpus.
 
 A corpus is a set of documents, each carrying (vocabulary, term)
-descriptor pairs. It is held as postings: each (vocabulary, normalized
-term) maps to the ids of the documents carrying it. Assessing a mapping
-counts documents indexed with the source term and documents indexed with
-the complete target concept; a combination target intersects its members'
-postings, so a document carrying only some members does not count. Every
-document id named on a well-formed line counts in len(corpus), even if its
-only term is rejected. Assessment reads the store and corpus, never writes.
+descriptor pairs. It is held as postings per vocabulary: each normalized
+term maps to a tuple of the ids of the documents carrying it, each id once,
+in line order. The load normalizes each distinct raw term once per
+vocabulary, and every posting shares one string object per document id.
+Assessing a mapping counts documents indexed with the source term and
+documents indexed with the complete target concept; a combination target
+intersects its members' postings, so a document carrying only some members
+does not count. Every document id named on a well-formed line counts in
+len(corpus), even if its only term is rejected. Assessment reads the store
+and corpus, never writes.
 
 Corpus TSV (UTF-8, LF): header `#corpus v1`, then
 `doc_id<TAB>vocab<TAB>term` lines; `#` lines and blank lines ignored.
@@ -29,29 +32,25 @@ CORPUS_HEADER = "#corpus v1"
 
 @dataclass
 class Corpus:
-    """Postings: (vocab, normalized term) -> ids of the documents carrying it."""
+    """Postings: vocab -> normalized term -> ids of the documents carrying it."""
 
     # one string object per document id, shared by every posting naming it
     doc_ids: dict[str, str] = field(default_factory=dict)
-    postings: dict[tuple[str, str], set[str]] = field(default_factory=dict)
+    postings: dict[str, dict[str, tuple[str, ...]]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.doc_ids)
-
-    def add_descriptor(self, doc_id: str, vocab: str, term: str) -> None:
-        # the document counts before its term is checked, so a document whose
-        # only line holds a rejected term still counts in len(corpus)
-        doc_id = self.doc_ids.setdefault(doc_id, doc_id)
-        self.postings.setdefault((vocab, normalize_term(term)), set()).add(doc_id)
 
     def count_with(self, vocab: str, term: str) -> int:
         return self.count_with_all(vocab, (term,))
 
     def count_with_all(self, vocab: str, terms: tuple[str, ...]) -> int:
         """Documents carrying every term (smallest postings first); no terms: all."""
-        keys = [(vocab, normalize_term(t)) for t in terms]
-        postings = sorted((self.postings.get(key, frozenset()) for key in keys), key=len)
-        return len(postings[0].intersection(*postings[1:])) if postings else len(self)
+        by_term = self.postings.get(vocab, {})
+        postings = sorted((by_term.get(normalize_term(t), ()) for t in terms), key=len)
+        if len(postings) < 2:
+            return len(postings[0]) if postings else len(self)
+        return len(set(postings[0]).intersection(*postings[1:]))
 
 
 @dataclass
@@ -66,6 +65,11 @@ def load_corpus(stream: IO[str] | str) -> CorpusLoad:
     if header != CORPUS_HEADER:
         raise FormatError(f"bad header {header!r}; expected {CORPUS_HEADER!r}")
     load = CorpusLoad(corpus=Corpus())
+    doc_ids = load.corpus.doc_ids
+    # per vocabulary: normalized term -> doc ids in line order, and raw term ->
+    # that same list, so a raw string seen before skips normalize_term
+    lists: dict[str, dict[str, list[str]]] = {}
+    memos: dict[str, dict[str, list[str]]] = {}
     for line_no, line in lines:
         try:
             fields = line.split("\t")
@@ -74,9 +78,23 @@ def load_corpus(stream: IO[str] | str) -> CorpusLoad:
             doc_id, vocab, term = fields
             if not doc_id.strip() or not vocab.strip():
                 raise FormatError("empty doc id or vocabulary")
-            load.corpus.add_descriptor(doc_id, vocab, term)
+            # the document counts before its term is checked, so a document whose
+            # only line holds a rejected term still counts in len(corpus)
+            doc_id = doc_ids.setdefault(doc_id, doc_id)
+            memo = memos.setdefault(vocab, {})
+            docs = memo.get(term)
+            if docs is None:
+                by_term = lists.setdefault(vocab, {})
+                docs = memo[term] = by_term.setdefault(normalize_term(term), [])
+            if not docs or docs[-1] is not doc_id:
+                docs.append(doc_id)
         except KomoheError as exc:
             load.errors.append((line_no, str(exc)))
+    # a document repeating a term on non-adjacent lines is listed twice until here
+    load.corpus.postings = {
+        vocab: {key: tuple(dict.fromkeys(docs)) for key, docs in by_term.items()}
+        for vocab, by_term in lists.items()
+    }
     return load
 
 

@@ -7,6 +7,7 @@ serves it to concurrent readers, and a reload is a restart.
 
 from __future__ import annotations
 
+import gc
 import logging
 import os
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from urllib.parse import quote
 
 from .errors import NotFoundError
 from .registry import VocabularyRegistry
-from .store import CrosswalkStore, RelationType, RelevanceRating
+from .store import CrosswalkStore, RelationType, RelevanceRating, gc_paused
 
 logger = logging.getLogger(__name__)
 
@@ -30,7 +31,17 @@ def rejected_line(path: str | Path, line_no: int, reason: str) -> str:
 
 @dataclass
 class Dataset:
-    """A registry and the store over it: built by one loader, then only read."""
+    """A registry and the store over it: built by one loader, then only read.
+
+    Dataset.load runs with the cyclic garbage collector paused and, once the
+    load has succeeded, calls gc.freeze(), so later collections skip the
+    loaded objects instead of re-scanning them. The freeze is process-wide: it
+    also takes every other object alive at that moment out of the collector's
+    reach until gc.unfreeze(). A Dataset holds no reference cycles, so a
+    dropped one is still freed by reference counting: two 100k loads in one
+    process, the first dropped before the second, peak at about the same
+    ru_maxrss with and without the freeze.
+    """
 
     registry: VocabularyRegistry
     store: CrosswalkStore
@@ -63,16 +74,19 @@ class Dataset:
                 term_files.append(path)
             else:
                 tsv_files.append(path)
-        for path in term_files:
-            with path.open(encoding="utf-8") as fh:
-                dataset.registry.import_terms(fh)
-        for path in tsv_files:
-            with path.open(encoding="utf-8") as fh:
-                errors = dataset.store.import_tsv(fh).errors
-            dataset.rejected_lines += len(errors)
-            if errors:
-                first = "; ".join(rejected_line(path, *row) for row in errors[:LOGGED_ERRORS])
-                logger.warning("%s: %d lines rejected, first: %s", path, len(errors), first)
+        with gc_paused():
+            for path in term_files:
+                with path.open(encoding="utf-8") as fh:
+                    dataset.registry.import_terms(fh)
+            for path in tsv_files:
+                with path.open(encoding="utf-8") as fh:
+                    errors = dataset.store.import_tsv(fh).errors
+                dataset.rejected_lines += len(errors)
+                if errors:
+                    first = "; ".join(rejected_line(path, *row) for row in errors[:LOGGED_ERRORS])
+                    logger.warning("%s: %d lines rejected, first: %s", path, len(errors), first)
+            # before the collector is back on, or its first collection scans the load
+            gc.freeze()
         return dataset
 
 

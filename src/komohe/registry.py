@@ -16,10 +16,12 @@ import unicodedata
 from dataclasses import dataclass
 from io import StringIO
 from typing import IO, Iterable, Iterator
+from urllib.parse import quote
 
 from .errors import ConflictError, FormatError, InvalidTermError, NotFoundError
 
 TERMS_HEADER = "#terms"
+MAX_VOCAB_ID_BYTES = 245
 
 # ISO 639-1 two-letter codes.
 ISO_639_1 = frozenset(
@@ -80,6 +82,11 @@ def _validate_vocab_id(vocab_id: str) -> None:
     if vocab_id.startswith("#"):
         # its crosswalk rows would read back as comments
         raise InvalidTermError(f"vocabulary id {vocab_id!r} starts with '#'")
+    if len(quote(vocab_id, safe="")) > MAX_VOCAB_ID_BYTES:
+        # its term list, `<quoted id>.terms.tmp` while saved, must fit a 255-byte file name
+        raise InvalidTermError(
+            f"vocabulary id {vocab_id!r} is longer than {MAX_VOCAB_ID_BYTES} bytes percent-encoded"
+        )
 
 
 @dataclass

@@ -3,6 +3,8 @@ a bilingual network, and a 20-document corpus."""
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from komohe.registry import Vocabulary, VocabularyRegistry
@@ -56,6 +58,15 @@ d18\tB\tcomputers
 d19\tA\tisdn device
 d20\tB\thacking
 """
+
+
+@pytest.fixture(autouse=True)
+def gc_unfrozen():
+    """Dataset.load freezes every object alive in the process. Unfreezing after
+    each test keeps an earlier test's cyclic garbage, such as an unclosed file,
+    collectable, so its ResourceWarning still surfaces as an error."""
+    yield
+    gc.unfreeze()
 
 
 def build_dataset(tsv: str) -> Dataset:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from komohe import assessment
 from komohe.assessment import (
     Verdict,
     assess_mapping,
@@ -13,7 +14,7 @@ from komohe.assessment import (
     sample_assessment,
 )
 from komohe.errors import FormatError, InvalidMappingError, NotFoundError
-from komohe.registry import VocabularyRegistry
+from komohe.registry import VocabularyRegistry, normalize_term
 from komohe.store import Concept, CrosswalkStore, Mapping, RelationType, RelevanceRating
 
 from conftest import CORPUS_TSV
@@ -135,6 +136,33 @@ class TestPostings:
             )
             for term in terms:
                 assert load.corpus.count_with(vocab, term) == brute_force_count(docs, vocab, [term])
+
+
+class TestPostingsLayout:
+    # d1 repeats "crime" with d2's line in between, and "Crime" in another spelling
+    TEXT = "#corpus v1\nd1\tB\tcrime\nd2\tB\tcrime\nd1\tB\tCrime\nd1\tB\tcrime\nd2\tA\tx\n"
+
+    def test_each_posting_is_a_tuple_of_distinct_shared_doc_ids(self):
+        corpus = load_corpus(io.StringIO(self.TEXT)).corpus
+        assert corpus.postings == {"B": {"crime": ("d1", "d2")}, "A": {"x": ("d2",)}}
+        for by_term in corpus.postings.values():
+            for docs in by_term.values():
+                assert type(docs) is tuple
+                assert len(set(docs)) == len(docs)
+                assert all(doc_id is corpus.doc_ids[doc_id] for doc_id in docs)
+        assert corpus.count_with("B", "crime") == 2
+
+    def test_each_raw_term_is_normalized_once_per_vocabulary(self, monkeypatch):
+        seen = []
+
+        def counting(raw):
+            seen.append(raw)
+            return normalize_term(raw)
+
+        monkeypatch.setattr(assessment, "normalize_term", counting)
+        load_corpus(io.StringIO(self.TEXT + "d3\tA\tcrime\nd3\tB\tCrime\n"))
+        # B: "crime", "Crime"; A: "x", "crime"
+        assert sorted(seen) == ["Crime", "crime", "crime", "x"]
 
 
 class TestAssessMapping:

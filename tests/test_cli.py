@@ -65,6 +65,18 @@ class TestImportExport:
         assert cli.save_dataset is komohe.dataset.save_dataset
         assert callable(cli.load_dataset)
 
+    def test_vocabulary_id_too_long_to_save_is_a_rejected_row(self, datadir, tmp_path, capsys):
+        tsv = tmp_path / "long.tsv"
+        longest = "b" * 245  # `<id>.terms.tmp` is 255 bytes
+        rows = f"a\tx\t=\tb\ty\thigh\na\tz\t=\t{'é' * 60}\tw\thigh\na\tz\t=\t{longest}\tw\thigh\n"
+        tsv.write_text("#komohe-tsv v1\n" + rows, encoding="utf-8")
+        assert run(datadir, "import", str(tsv)) == 0
+        captured = capsys.readouterr()
+        assert "mappings_added\t2" in captured.out
+        assert f"{tsv}:3: vocabulary id" in captured.err
+        saved = {"a.terms", "b.terms", f"{longest}.terms", "crosswalks.tsv"}
+        assert {p.name for p in datadir.iterdir()} == saved
+
     def test_import_missing_file_is_error(self, datadir, capsys):
         assert run(datadir, "import", "/no/such/file.tsv") == 1
         assert "error:" in capsys.readouterr().err

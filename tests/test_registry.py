@@ -63,6 +63,15 @@ class TestVocabulary:
             Vocabulary("#x")
         assert Vocabulary("x#").id == "x#"
 
+    def test_rejects_an_id_too_long_for_its_term_list_file_name(self):
+        # `<percent-encoded id>.terms.tmp` must fit in 255 bytes
+        assert Vocabulary("a" * 245).id == "a" * 245
+        with pytest.raises(InvalidTermError, match="longer than 245 bytes"):
+            Vocabulary("a" * 246)
+        with pytest.raises(InvalidTermError):
+            Vocabulary("é" * 41)  # 41 x %C3%A9: 246 bytes
+        assert Vocabulary("é" * 40).id == "é" * 40
+
     def test_rejects_unknown_language_code(self):
         with pytest.raises(InvalidTermError):
             Vocabulary("x", language="zz")

@@ -1,3 +1,4 @@
+import gc
 import json
 import logging
 import random
@@ -8,6 +9,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 from http.client import HTTPConnection
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -15,7 +17,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from komohe import service
-from komohe.errors import ConflictError, InvalidMappingError, NotFoundError
+from komohe.errors import ConflictError, FormatError, InvalidMappingError, NotFoundError
 from komohe.queries import MAX_QUERY_LEAVES, parse_query, render_query
 from komohe.registry import Vocabulary, VocabularyRegistry
 from komohe.service import MAX_GET_BODY, Dataset, ServiceConfig, build_server, translate
@@ -151,6 +153,49 @@ class TestDatasetLoad:
         loaded = r"loaded 2 vocabularies, 1 crosswalks, 1 mappings in \d+\.\d\d s, 2 lines rejected"
         assert re.search(loaded, caplog.text)
         assert "serving on 127.0.0.1:8080" in caplog.text
+
+
+class TestDatasetLoadAndTheCollector:
+    TSV = "#komohe-tsv v1\nswd\tsoziologie\t=\tlcsh\tsociology\thigh\n"
+
+    @pytest.fixture(autouse=True)
+    def gc_back_on(self):
+        yield
+        gc.enable()
+
+    @pytest.fixture
+    def datadir(self, tmp_path):
+        (tmp_path / "crosswalks.tsv").write_text(self.TSV)
+        return tmp_path
+
+    def test_enabled_stays_enabled(self, datadir):
+        gc.enable()
+        Dataset.load([datadir])
+        assert gc.isenabled()
+
+    def test_disabled_stays_disabled(self, datadir):
+        gc.disable()
+        Dataset.load([datadir])
+        assert not gc.isenabled()
+
+    def test_enabled_again_and_nothing_frozen_when_a_term_list_fails(self, datadir):
+        (datadir / "a.terms").write_text("#not-terms swd\nSoziologie\n")
+        gc.enable()
+        with pytest.raises(FormatError):
+            Dataset.load([datadir])
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
+
+    def test_loaded_store_is_frozen_out_of_the_collector(self, datadir):
+        data = Dataset.load([datadir])
+        assert all(obj is not data.store for obj in gc.get_objects())
+        assert gc.get_freeze_count() > 0
+
+    def test_dropped_dataset_is_freed_without_a_collection(self, datadir):
+        data = Dataset.load([datadir])
+        store = weakref.ref(data.store)
+        del data
+        assert store() is None
 
 
 class TestServiceConfig:
