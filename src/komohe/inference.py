@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .errors import NotFoundError
 from .store import TSV_HEADER, Concept, CrosswalkStore, Mapping, RelationType, RelevanceRating
-from .store import tsv_row
+from .store import check_crosswalk_ends, tsv_row
 
 _EQ = RelationType.EQ
 _BROADER = RelationType.BROADER_TARGET
@@ -80,8 +80,9 @@ def infer_pivot(
     Both hops must have single-term targets; the pivot term must match
     exactly. Results are deduplicated on (source, relation, target),
     keeping the highest confidence, and sorted by source term, relation,
-    target.
+    target. The source and target vocabularies must differ.
     """
+    check_crosswalk_ends(source_vocab, target_vocab)
     first_hop = store.find_crosswalk(source_vocab, pivot_vocab)
     if first_hop is None:
         raise NotFoundError(f"no crosswalk {source_vocab!r} -> {pivot_vocab!r}")

@@ -14,8 +14,9 @@ inside the OR group.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar, Union
 
 from .errors import InvalidMappingError, InvalidTermError, QueryParseError
 from .registry import normalize_term
@@ -51,21 +52,23 @@ class Leaf:
 
 
 @dataclass(frozen=True)
-class And:
+class Junction:
+    """An n-ary operator node. And and Or differ only in `op`; an And never equals an Or."""
+
     children: tuple[Node, ...]
+    op: ClassVar[str]
 
     def __post_init__(self) -> None:
         if len(self.children) < 2:
-            raise ValueError("AND needs at least two children")
+            raise ValueError(f"{self.op} needs at least two children")
 
 
-@dataclass(frozen=True)
-class Or:
-    children: tuple[Node, ...]
+class And(Junction):
+    op = "AND"
 
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
-            raise ValueError("OR needs at least two children")
+
+class Or(Junction):
+    op = "OR"
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,9 @@ def leaf(text: str) -> Leaf:
 
 _KEYWORDS = {"and": "AND", "or": "OR", "not": "NOT"}
 _PUNCT = {"(": "LPAREN", ")": "RPAREN"}
+# a parenthesis, a quoted phrase whose closing quote may be missing, or a bare
+# word; finditer skips only the whitespace between them
+_TOKEN_RE = re.compile(r'([()])|"([^"]*)("?)|([^\s()"]+)')
 
 
 @dataclass(frozen=True)
@@ -94,36 +100,20 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, i))
-            i += 1
-            continue
-        if ch == '"':
-            end = text.find('"', i + 1)
-            if end < 0:
-                raise QueryParseError("unterminated quote", i)
-            phrase = text[i + 1 : end]
+    for match in _TOKEN_RE.finditer(text):
+        punct, phrase, closed, word = match.groups()
+        start = match.start()
+        if phrase is not None:
+            if not closed:
+                raise QueryParseError("unterminated quote", start)
             if not phrase.strip():
-                raise QueryParseError("empty phrase", i)
-            tokens.append(_Token("TEXT", phrase, i))
-            i = end + 1
-            continue
-        start = i
-        while i < n and not text[i].isspace() and text[i] not in '()"':
-            i += 1
-        word = text[start:i]
-        kind = _KEYWORDS.get(word.lower())
-        if kind:
-            tokens.append(_Token(kind, word, start))
+                raise QueryParseError("empty phrase", start)
+            kind, value = "TEXT", phrase
+        elif punct is not None:
+            kind, value = _PUNCT[punct], punct
         else:
-            tokens.append(_Token("TEXT", word, start))
+            kind, value = _KEYWORDS.get(word.lower(), "TEXT"), word
+        tokens.append(_Token(kind, value, start))
     return tokens
 
 
@@ -241,10 +231,8 @@ def render_query(node: Node) -> str:
     every leaf quoted. parse_query(render_query(ast)) == ast."""
     if isinstance(node, Leaf):
         return f'"{node.text}"'
-    if isinstance(node, And):
-        return "(" + " AND ".join(render_query(c) for c in node.children) + ")"
-    if isinstance(node, Or):
-        return "(" + " OR ".join(render_query(c) for c in node.children) + ")"
+    if isinstance(node, Junction):
+        return "(" + f" {node.op} ".join(render_query(c) for c in node.children) + ")"
     if isinstance(node, Not):
         return f"(NOT {render_query(node.child)})"
     raise TypeError(f"not a query node: {node!r}")
@@ -348,10 +336,8 @@ def expand_query(
             if under_not and not config.expand_under_not:
                 return node
             return expand_leaf(node)
-        if isinstance(node, And):
-            return And(tuple(walk(c, under_not) for c in node.children))
-        if isinstance(node, Or):
-            return Or(tuple(walk(c, under_not) for c in node.children))
+        if isinstance(node, Junction):
+            return type(node)(tuple(walk(c, under_not) for c in node.children))
         if isinstance(node, Not):
             return Not(walk(node.child, True))
         raise TypeError(f"not a query node: {node!r}")

@@ -1,12 +1,9 @@
 """Vocabulary registry and the canonical term normalization used everywhere.
 
 Every string that enters the mapping network goes through
-:func:`normalize_term`, and lookups compare normalized keys only. A crosswalk
-load normalizes each distinct raw string once per vocabulary: its memo maps
-the raw string to one Concept around the registry's own key object, so
-equal terms share both. A display form equal to its key is that key object.
-One loader builds the registry; once loading has finished it is only read,
-so it needs no lock.
+:func:`normalize_term`, and lookups compare normalized keys only. A display
+form equal to its key is that key object. One loader builds the registry;
+once loading has finished it is only read, so it needs no lock.
 """
 
 from __future__ import annotations
@@ -199,9 +196,6 @@ class VocabularyRegistry:
     def term(self, vocab_id: str, normalized: str) -> Term | None:
         """The term stored under a normalized key; None also for an unknown vocabulary."""
         return self._terms.get(vocab_id, {}).get(normalized)
-
-    def has_term(self, vocab_id: str, normalized: str) -> bool:
-        return normalized in self._terms.get(vocab_id, {})
 
     def terms(self, vocab_id: str) -> list[Term]:
         """All terms of a vocabulary, sorted by normalized key."""

@@ -327,8 +327,8 @@ def serve(config: ServiceConfig) -> int:
         dataset.rejected_lines,
     )
     server = build_server(dataset, config)
-    # SIGTERM stops the service the way Ctrl-C (SIGINT) does
-    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    # SIGTERM stops the service the way Ctrl-C (SIGINT) does, until serve returns
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     logger.info("serving on %s:%d", *server.server_address[:2])
     try:
         server.serve_forever()
@@ -336,4 +336,6 @@ def serve(config: ServiceConfig) -> int:
         logger.info("shutting down")
     finally:
         server.server_close()
+        if previous is not None:  # None: a handler installed outside Python, not restorable
+            signal.signal(signal.SIGTERM, previous)
     return 0

@@ -16,9 +16,9 @@ from io import StringIO
 from typing import IO, Iterable
 from urllib.parse import quote, unquote
 
-from .errors import FormatError, InvalidMappingError, InvalidTermError, KomoheError
+from .errors import FormatError, InvalidMappingError, InvalidTermError
 from .registry import numbered_lines
-from .store import CrosswalkStore, RelationType, RelevanceRating, TermMemo
+from .store import CrosswalkStore, ImportReport, RelationType, RelevanceRating
 
 SKOS_NS = "http://www.w3.org/2004/02/skos/core#"
 URN_PREFIX = "urn:kos:"
@@ -31,6 +31,7 @@ RELATION_TO_PREDICATE = {
 }
 PREDICATE_TO_RELATION = {v: k for k, v in RELATION_TO_PREDICATE.items()}
 
+_UNRATED = RelevanceRating.UNRATED
 _TRIPLE_RE = re.compile(r"^<([^<>]*)>\s+<([^<>]*)>\s+<([^<>]*)>\s*\.$")
 
 
@@ -67,9 +68,7 @@ class SkosExport:
 
 
 @dataclass
-class SkosImportReport:
-    mappings_added: int = 0
-    errors: list[tuple[int, str]] = field(default_factory=list)
+class SkosImportReport(ImportReport):
     skipped_predicates: list[tuple[int, str]] = field(default_factory=list)
 
 
@@ -80,13 +79,9 @@ def export_skos(store: CrosswalkStore, crosswalk_ids: Iterable[str] | None = Non
     is reproducible. Null and combination-target mappings are counted in
     the report instead of emitted.
     """
-    if crosswalk_ids is None:
-        selected = store.crosswalks()
-    else:
-        selected = [store.crosswalk(cid) for cid in crosswalk_ids]
     export = SkosExport(text="")
     triples: list[tuple[str, str, str]] = []
-    for crosswalk in selected:
+    for crosswalk in store.crosswalks(crosswalk_ids):
         source_prefix = _uri_prefix(crosswalk.source_vocab)
         target_prefix = _uri_prefix(crosswalk.target_vocab)
         for mapping in crosswalk.mappings:
@@ -122,29 +117,23 @@ def import_skos(
     """
     lines = StringIO(stream) if isinstance(stream, str) else stream
     report = SkosImportReport()
-    memo: TermMemo = {}
-    # stripped first, so an indented `# ...` line is a comment too
-    for line_no, line in numbered_lines(raw.strip() for raw in lines):
-        try:
-            match = _TRIPLE_RE.match(line)
-            if match is None:
-                raise FormatError(f"malformed triple: {line!r}")
-            subject, predicate, obj = match.groups()
-            if (relation := PREDICATE_TO_RELATION.get(predicate)) is None:
-                report.skipped_predicates.append((line_no, predicate))
-                continue
-            subject_vocab, source_term = parse_concept_uri(subject)
-            object_vocab, target_term = parse_concept_uri(obj)
-            if subject_vocab != source_vocab or object_vocab != target_vocab:
-                raise InvalidMappingError(
-                    f"URI vocabularies {subject_vocab!r}->{object_vocab!r} do not "
-                    f"match requested crosswalk {source_vocab!r}->{target_vocab!r}"
-                )
-            store.add_row(
-                source_vocab, source_term, relation, target_vocab, [target_term],
-                RelevanceRating.UNRATED, memo,
+
+    def parse(line_no: int, line: str) -> tuple | None:
+        match = _TRIPLE_RE.match(line)
+        if match is None:
+            raise FormatError(f"malformed triple: {line!r}")
+        subject, predicate, obj = match.groups()
+        if (relation := PREDICATE_TO_RELATION.get(predicate)) is None:
+            report.skipped_predicates.append((line_no, predicate))
+            return None
+        subject_vocab, source_term = parse_concept_uri(subject)
+        object_vocab, target_term = parse_concept_uri(obj)
+        if subject_vocab != source_vocab or object_vocab != target_vocab:
+            raise InvalidMappingError(
+                f"URI vocabularies {subject_vocab!r}->{object_vocab!r} do not "
+                f"match requested crosswalk {source_vocab!r}->{target_vocab!r}"
             )
-            report.mappings_added += 1
-        except KomoheError as exc:
-            report.errors.append((line_no, str(exc)))
-    return report
+        return source_vocab, source_term, relation, target_vocab, [target_term], _UNRATED
+
+    # stripped first, so an indented `# ...` line is a comment too
+    return store.load_rows(numbered_lines(raw.strip() for raw in lines), parse, report)

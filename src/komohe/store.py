@@ -22,12 +22,14 @@ target vocabulary named for that source vocabulary.
 
 One loader builds the store; once loading has finished, any number of
 threads may read it, and nothing writes it again, so it needs no lock.
-import_tsv pauses the cyclic garbage collector while it loads and restores
-the caller's setting afterwards. Its memo maps each raw term string and key,
+Every file load (TSV here, SKOS in skos.py) runs through load_rows, which
+pauses the cyclic garbage collector while it loads and restores the
+caller's setting afterwards. Its memo maps each raw term string and key,
 per vocabulary, to one Concept around the registry's own key object: a raw
-string seen before skips normalize_term and intern_term, and mappings naming
-one term share that Concept (a combination, its key). The memo lives for one
-load, so no user-supplied string outlives it.
+string seen before skips normalize_term and intern_term, so a load normalizes
+each distinct string once per vocabulary, and mappings naming one term share
+that Concept (a combination, its key). The memo lives for one load, so no
+user-supplied string outlives it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .errors import (
     ConflictError,
@@ -191,7 +193,7 @@ class Mapping:
 
     @property
     def triple(self) -> tuple[tuple[str, ...], str, tuple[str, ...] | None]:
-        """Identity key for duplicate detection: (source, relation, target)."""
+        """The mapping's (source terms, relation symbol, target terms) as plain values."""
         return (
             self.source.terms,
             self.relation.value,
@@ -241,6 +243,8 @@ class ImportReport:
 
 _BY_ID = attrgetter("id")
 TermMemo = dict[str, dict[str, Concept]]  # a load's vocabulary -> {raw term or key: Concept}
+# (line number, line) -> add_row's arguments up to `memo`, or None for a line it skips
+RowParser = Callable[[int, str], tuple | None]
 
 
 def tsv_row(source_vocab: str, mapping: Mapping, target_vocab: str) -> str:
@@ -270,6 +274,40 @@ def parse_relations(text: str) -> set[RelationType]:
     return relations
 
 
+def check_crosswalk_ends(source_vocab: str, target_vocab: str) -> None:
+    """A crosswalk maps one vocabulary into another, never into itself."""
+    if source_vocab == target_vocab:
+        raise InvalidMappingError(f"crosswalk source and target must differ (got {source_vocab!r})")
+
+
+def _parse_tsv_line(line: str, last_target_for: dict[str, str]) -> tuple:
+    """Check one data line's columns; returns its add_row arguments."""
+    fields = line.split("\t")
+    if len(fields) > 6:
+        extra = fields[6:]
+        if not (len(extra) == 1 and extra[0].lstrip().startswith("#")):
+            raise FormatError(f"expected at most 6 fields, got {len(fields)}")
+        fields = fields[:6]
+    if len(fields) < 3:
+        raise FormatError(f"expected 6 tab-separated fields, got {len(fields)}")
+    fields += [""] * (6 - len(fields))
+    source_vocab, source_term, relation_sym, target_vocab, target_terms, rating_text = fields
+
+    relation = RelationType.parse(relation_sym)
+    rating = RelevanceRating.parse(rating_text)
+    members = target_terms.split(COMBINATION_JOIN) if target_terms.strip() else []
+    if relation is not _NULL and not target_vocab:
+        raise InvalidMappingError("missing target vocabulary")
+    target_vocab = target_vocab or last_target_for.get(source_vocab, "")
+    if not target_vocab:
+        raise InvalidMappingError(
+            "null row has no target vocabulary and no preceding "
+            f"crosswalk for source vocabulary {source_vocab!r}"
+        )
+    last_target_for[source_vocab] = target_vocab
+    return source_vocab, source_term, relation, target_vocab, members, rating
+
+
 class CrosswalkStore:
     """In-memory indexed store of crosswalks over a shared registry."""
 
@@ -290,10 +328,7 @@ class CrosswalkStore:
         """Store a new crosswalk once the two vocabularies differ, its id is free
         and both are registered or, with `auto_register`, both have valid ids;
         only then are the unknown ones registered."""
-        if source_vocab == target_vocab:
-            raise InvalidMappingError(
-                f"crosswalk source and target must differ (got {source_vocab!r})"
-            )
+        check_crosswalk_ends(source_vocab, target_vocab)
         crosswalk = Crosswalk(source_vocab, target_vocab)
         existing = self._crosswalks.get(crosswalk.id)
         if existing is not None:
@@ -327,8 +362,11 @@ class CrosswalkStore:
         except KeyError:
             raise NotFoundError(f"unknown crosswalk {crosswalk_id!r}") from None
 
-    def crosswalks(self) -> list[Crosswalk]:
-        return [self._crosswalks[k] for k in sorted(self._crosswalks)]
+    def crosswalks(self, crosswalk_ids: Iterable[str] | None = None) -> list[Crosswalk]:
+        """All crosswalks sorted by id, or the named ones in the order given."""
+        if crosswalk_ids is None:
+            return [self._crosswalks[k] for k in sorted(self._crosswalks)]
+        return [self.crosswalk(cid) for cid in crosswalk_ids]
 
     def find_crosswalk(self, source_vocab: str, target_vocab: str) -> Crosswalk | None:
         cw = self._crosswalks.get(f"{source_vocab}-{target_vocab}")
@@ -353,7 +391,7 @@ class CrosswalkStore:
             (crosswalk.target_vocab, target_terms),
         ):
             for term in terms:
-                if not self.registry.has_term(vocab_id, term):
+                if self.registry.term(vocab_id, term) is None:
                     raise NotFoundError(f"term {term!r} not registered in {vocab_id!r}")
         self._insert(crosswalk, mapping)
         return f"{crosswalk_id}:{len(crosswalk.mappings)}"
@@ -496,50 +534,30 @@ class CrosswalkStore:
         if header != TSV_HEADER:
             raise FormatError(f"bad header {header!r}; expected {TSV_HEADER!r}")
 
-        report = ImportReport()
         # source vocab -> target vocab last named for it; context for null
         # rows whose target vocabulary column is empty.
         last_target_for: dict[str, str] = {}
+        return self.load_rows(
+            lines, lambda _, line: _parse_tsv_line(line, last_target_for), ImportReport()
+        )
+
+    def load_rows(
+        self, lines: Iterable[tuple[int, str]], parse: RowParser, report: ImportReport
+    ) -> ImportReport:
+        """Store each numbered line's row through add_row, with one memo and the
+        collector paused. A line whose parse or row raises KomoheError is
+        reported with its number and skipped; the load never aborts mid-stream."""
         memo: TermMemo = {}
         with gc_paused():
             for line_no, line in lines:
                 try:
-                    created = self._import_line(line, last_target_for, memo)
+                    row = parse(line_no, line)
+                    if row is not None:
+                        report.crosswalks_created += self.add_row(*row, memo)
+                        report.mappings_added += 1
                 except KomoheError as exc:
                     report.errors.append((line_no, str(exc)))
-                    continue
-                report.mappings_added += 1
-                report.crosswalks_created += created
         return report
-
-    def _import_line(self, line: str, last_target_for: dict[str, str], memo: TermMemo) -> bool:
-        """Check one data line's columns and store it through add_row."""
-        fields = line.split("\t")
-        if len(fields) > 6:
-            extra = fields[6:]
-            if not (len(extra) == 1 and extra[0].lstrip().startswith("#")):
-                raise FormatError(f"expected at most 6 fields, got {len(fields)}")
-            fields = fields[:6]
-        if len(fields) < 3:
-            raise FormatError(f"expected 6 tab-separated fields, got {len(fields)}")
-        fields += [""] * (6 - len(fields))
-        source_vocab, source_term, relation_sym, target_vocab, target_terms, rating_text = fields
-
-        relation = RelationType.parse(relation_sym)
-        rating = RelevanceRating.parse(rating_text)
-        members = target_terms.split(COMBINATION_JOIN) if target_terms.strip() else []
-        if relation is not _NULL and not target_vocab:
-            raise InvalidMappingError("missing target vocabulary")
-        target_vocab = target_vocab or last_target_for.get(source_vocab, "")
-        if not target_vocab:
-            raise InvalidMappingError(
-                "null row has no target vocabulary and no preceding "
-                f"crosswalk for source vocabulary {source_vocab!r}"
-            )
-        last_target_for[source_vocab] = target_vocab
-        return self.add_row(
-            source_vocab, source_term, relation, target_vocab, members, rating, memo
-        )
 
     def export_tsv(self, crosswalk_ids: Iterable[str] | None = None) -> str:
         """Render crosswalks as TSV; re-importing reproduces the store.
@@ -548,12 +566,8 @@ class CrosswalkStore:
         insertion order. Null rows keep their crosswalk's target vocabulary
         in column 4.
         """
-        if crosswalk_ids is None:
-            selected = self.crosswalks()
-        else:
-            selected = [self.crosswalk(cid) for cid in crosswalk_ids]
         out = [TSV_HEADER]
-        for crosswalk in selected:
+        for crosswalk in self.crosswalks(crosswalk_ids):
             out.extend(
                 tsv_row(crosswalk.source_vocab, mapping, crosswalk.target_vocab)
                 for mapping in sorted(crosswalk.mappings, key=lambda m: m.source.terms[0])

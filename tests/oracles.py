@@ -8,9 +8,10 @@ bug in the package cannot hide inside its own test.
 from __future__ import annotations
 
 import unicodedata
+from dataclasses import dataclass
 from itertools import chain, combinations
 
-from komohe.errors import KomoheError
+from komohe.errors import KomoheError, QueryParseError
 from komohe.store import Concept, Mapping, RelationType, RelevanceRating
 
 # ----------------------------------------------------------------------
@@ -266,3 +267,54 @@ def row_by_row_load(store, rows) -> list[tuple[int, str]]:
         except KomoheError as exc:
             errors.append((line_no, str(exc)))
     return errors
+
+
+# ----------------------------------------------------------------------
+# Query tokenizer. The character loop that split query text into tokens
+# before the package used one regular expression, kept as it was: one
+# character at a time, with str.isspace deciding what separates tokens.
+
+_KEYWORDS = {"and": "AND", "or": "OR", "not": "NOT"}
+_PUNCT = {"(": "LPAREN", ")": "RPAREN"}
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # LPAREN RPAREN AND OR NOT TEXT
+    value: str
+    position: int
+
+
+def oracle_tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _PUNCT:
+            tokens.append(_Token(_PUNCT[ch], ch, i))
+            i += 1
+            continue
+        if ch == '"':
+            end = text.find('"', i + 1)
+            if end < 0:
+                raise QueryParseError("unterminated quote", i)
+            phrase = text[i + 1 : end]
+            if not phrase.strip():
+                raise QueryParseError("empty phrase", i)
+            tokens.append(_Token("TEXT", phrase, i))
+            i = end + 1
+            continue
+        start = i
+        while i < n and not text[i].isspace() and text[i] not in '()"':
+            i += 1
+        word = text[start:i]
+        kind = _KEYWORDS.get(word.lower())
+        if kind:
+            tokens.append(_Token(kind, word, start))
+        else:
+            tokens.append(_Token("TEXT", word, start))
+    return tokens

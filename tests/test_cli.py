@@ -212,6 +212,18 @@ class TestInfer:
         assert "promoted 0 mappings into a-c" in capsys.readouterr().err
         assert (datadir / "crosswalks.tsv").read_bytes() == saved
 
+    def test_same_source_and_target_is_error_with_nothing_printed(self, datadir, tmp_path, capsys):
+        tsv = tmp_path / "pair.tsv"
+        tsv.write_text(self.CHAIN + "b\thacking\t=\ta\thacker\thigh\n", encoding="utf-8")
+        assert run(datadir, "import", str(tsv)) == 0
+        saved = (datadir / "crosswalks.tsv").read_bytes()
+        capsys.readouterr()
+        assert run(datadir, "infer", "--from", "a", "--to", "a", "--via", "b", "--promote") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "crosswalk source and target must differ (got 'a')" in captured.err
+        assert (datadir / "crosswalks.tsv").read_bytes() == saved
+
     def test_missing_crosswalk_is_error(self, loaded, capsys):
         assert run(loaded, "infer", "--from", "A", "--to", "X", "--via", "B") == 1
 

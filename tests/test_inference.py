@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from komohe.errors import NotFoundError
+from komohe.errors import InvalidMappingError, NotFoundError
 from komohe.inference import (
     combined_confidence,
     compose_relations,
@@ -159,6 +160,15 @@ class TestInferPivot:
             infer_pivot(data.store, "a", "c", "missing")
         with pytest.raises(NotFoundError):
             infer_pivot(data.store, "c", "a", "b")  # reverse legs don't exist
+
+    def test_same_source_and_target_is_rejected_before_either_hop(self):
+        data = self.build()
+        data.store.import_tsv("#komohe-tsv v1\nb\thacking\t=\ta\thacker\thigh\n")
+        message = "crosswalk source and target must differ (got 'a')"
+        with pytest.raises(InvalidMappingError, match=re.escape(message)):
+            infer_pivot(data.store, "a", "a", "b")
+        with pytest.raises(InvalidMappingError, match=re.escape(message)):
+            infer_pivot(data.store, "a", "a", "missing")
 
     def test_combination_targets_do_not_join(self):
         data = self.build()

@@ -1,6 +1,7 @@
 """Property tests: TSV, SKOS and data-dir round trips (vocabulary metadata
 included), normalization, the shared line reader, the TSV load against a
-row-by-row oracle, and the /expand route on fuzzed queries."""
+row-by-row oracle, the query tokenizer against a character-loop oracle, and
+the /expand route on fuzzed queries."""
 
 import tempfile
 from pathlib import Path
@@ -13,7 +14,14 @@ from hypothesis import strategies as st
 
 from komohe.assessment import load_corpus
 from komohe.dataset import Dataset, save_dataset
-from komohe.errors import ConflictError, InvalidMappingError, InvalidTermError, KomoheError
+from komohe.errors import (
+    ConflictError,
+    InvalidMappingError,
+    InvalidTermError,
+    KomoheError,
+    QueryParseError,
+)
+from komohe.queries import _tokenize
 from komohe.registry import (
     ISO_639_1,
     Vocabulary,
@@ -33,7 +41,7 @@ from komohe.store import (
 )
 
 from conftest import SIXROW_TSV
-from oracles import brute_force_from, brute_force_reverse, row_by_row_load
+from oracles import brute_force_from, brute_force_reverse, oracle_tokenize, row_by_row_load
 
 PROPERTY = settings(deadline=None)
 
@@ -419,3 +427,32 @@ def test_expand_route_answers_or_raises_a_domain_error(text):
     except KomoheError:
         return
     assert status == 200 and payload["expanded"]
+
+
+# separators the two tokenizers must agree on: str.isspace counts U+001C as
+# whitespace though Unicode's White_Space property does not; U+00A0 and
+# U+3000 are spaces outside ASCII
+KEYWORD = st.sampled_from(["and", "or", "not"]).flatmap(
+    lambda word: st.tuples(*(st.sampled_from([c, c.upper()]) for c in word)).map("".join)
+)
+TOKEN_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(["(", ")", '"', " ", "\x1c", "\xa0", "\u3000"]),
+        KEYWORD,
+        st.characters(categories=("L",)),
+    ),
+    max_size=16,
+).map("".join)
+
+
+@PROPERTY
+@given(TOKEN_TEXT)
+def test_tokenizer_matches_the_character_loop(text):
+    try:
+        expected = [(t.kind, t.value, t.position) for t in oracle_tokenize(text)]
+    except QueryParseError as exc:
+        with pytest.raises(QueryParseError) as raised:
+            _tokenize(text)
+        assert (str(raised.value), raised.value.position) == (str(exc), exc.position)
+        return
+    assert [(t.kind, t.value, t.position) for t in _tokenize(text)] == expected

@@ -38,3 +38,30 @@ def test_every_module_parses_at_the_declared_python_floor():
     for path in paths:
         # raises SyntaxError for syntax newer than the floor, such as `except*` below 3.11
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")  # dunders are protocol, not private
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    # an underscore name is private to its module, an underscore attribute to
+    # its own class: a seam between modules goes through public names only
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    reaches = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("komohe")):
+                reaches += [
+                    f"{path.name}:{node.lineno}: imports {alias.name}"
+                    for alias in node.names
+                    if is_private(alias.name)
+                ]
+            elif (
+                isinstance(node, ast.Attribute)
+                and is_private(node.attr)
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            ):
+                reaches.append(f"{path.name}:{node.lineno}: reads .{node.attr}")
+    assert reaches == []

@@ -3,6 +3,7 @@ import json
 import logging
 import random
 import re
+import signal
 import socket
 import statistics
 import threading
@@ -153,6 +154,26 @@ class TestDatasetLoad:
         loaded = r"loaded 2 vocabularies, 1 crosswalks, 1 mappings in \d+\.\d\d s, 2 lines rejected"
         assert re.search(loaded, caplog.text)
         assert "serving on 127.0.0.1:8080" in caplog.text
+
+    def test_serve_puts_the_sigterm_handler_back(self, tmp_path, monkeypatch):
+        (tmp_path / "crosswalks.tsv").write_text("#komohe-tsv v1\na\tx\t=\tb\ty\thigh\n")
+
+        class StoppedServer:
+            server_address = ("127.0.0.1", 8080)
+
+            def serve_forever(self):
+                raise KeyboardInterrupt
+
+            def server_close(self):
+                pass
+
+        monkeypatch.setattr(service, "build_server", lambda dataset, config: StoppedServer())
+        before = signal.getsignal(signal.SIGTERM)
+        try:
+            assert service.serve(ServiceConfig(data_paths=[tmp_path])) == 0
+            assert signal.getsignal(signal.SIGTERM) is before
+        finally:
+            signal.signal(signal.SIGTERM, before)
 
 
 class TestDatasetLoadAndTheCollector:

@@ -1,3 +1,4 @@
+import gc
 import io
 import re
 from urllib.parse import quote
@@ -175,6 +176,45 @@ class TestImport:
         report = import_skos(data.store, io.StringIO(text), "a", "b")
         assert report.mappings_added == 1
         assert not report.errors
+
+
+class TestImportLeavesGcAsFound:
+    LINES = [
+        f"<urn:kos:a:x> <{SKOS_NS}exactMatch> <urn:kos:b:y> .\n",
+        f"<urn:kos:a:z> <{SKOS_NS}broadMatch> <urn:kos:b:w> .\n",
+    ]
+
+    @pytest.fixture(autouse=True)
+    def gc_back_on(self):
+        yield
+        gc.enable()
+
+    def test_enabled_stays_enabled(self):
+        gc.enable()
+        assert import_skos(Dataset.empty().store, "".join(self.LINES), "a", "b").mappings_added == 2
+        assert gc.isenabled()
+
+    def test_disabled_stays_disabled(self):
+        gc.disable()
+        assert import_skos(Dataset.empty().store, "".join(self.LINES), "a", "b").mappings_added == 2
+        assert not gc.isenabled()
+
+    def test_enabled_again_when_the_stream_fails(self):
+        enabled_while_reading = []
+
+        def failing_stream():
+            yield self.LINES[0]
+            enabled_while_reading.append(gc.isenabled())
+            yield self.LINES[1]
+            raise OSError("read failed")
+
+        gc.enable()
+        data = Dataset.empty()
+        with pytest.raises(OSError, match="read failed"):
+            import_skos(data.store, failing_stream(), "a", "b")
+        assert gc.isenabled()
+        assert enabled_while_reading == [False]
+        assert len(data.store.crosswalk("a-b").mappings) == 2
 
 
 class TestJoinInTerm:
