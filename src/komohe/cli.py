@@ -4,7 +4,9 @@ Machine-readable results go to stdout, diagnostics to stderr. Exit codes:
 0 success, 1 domain error, 2 usage error.
 
 The working data lives in a directory (flag --data, else $KOMOHE_DATA,
-else ./komohe-data) laid out by komohe.dataset. Mutating commands rewrite it.
+else ./komohe-data) laid out by komohe.dataset. run() loads it once per
+command and hands the dataset to the command's op; for a writing command it
+then saves it once and prints the op's summary only after the save succeeds.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ from .service import ServiceConfig, serve
 from .skos import export_skos, import_skos
 from .store import RelationType, RelevanceRating, parse_relations, split_list, tsv_row
 
-logger = logging.getLogger(__name__)
-
 DATA_ENV = "KOMOHE_DATA"
+
+# a writing op's summary, printed by run() only once the save succeeded:
+# its stdout lines, then its stderr lines
+Summary = tuple[list[str], list[str]]
 
 
 def data_dir(args: argparse.Namespace) -> Path:
@@ -54,28 +58,24 @@ def _print_mapping_rows(results) -> None:
 # subcommands
 
 
-def cmd_import(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args)
+def cmd_import(dataset: Dataset, args: argparse.Namespace) -> Summary:
     with open(args.file, encoding="utf-8") as fh:
         report = dataset.store.import_tsv(fh)
-    save_dataset(dataset, data_dir(args))
-    print(f"crosswalks_created\t{report.crosswalks_created}")
-    print(f"mappings_added\t{report.mappings_added}")
-    print(f"errors\t{len(report.errors)}")
-    for line_no, reason in report.errors:
-        print(rejected_line(args.file, line_no, reason), file=sys.stderr)
-    return 0
+    out = [
+        f"crosswalks_created\t{report.crosswalks_created}",
+        f"mappings_added\t{report.mappings_added}",
+        f"errors\t{len(report.errors)}",
+    ]
+    err = [rejected_line(args.file, line_no, reason) for line_no, reason in report.errors]
+    return out, err
 
 
-def cmd_export(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args)
+def cmd_export(dataset: Dataset, args: argparse.Namespace) -> None:
     ids = args.crosswalk or None
     sys.stdout.write(dataset.store.export_tsv(ids))
-    return 0
 
 
-def cmd_terms(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args)
+def cmd_terms(dataset: Dataset, args: argparse.Namespace) -> Summary:
     # with none of the flags, import_terms registers a new vocabulary from the file's header
     flags = (args.lang, args.name, args.discipline)
     if flags != (None, None, None) and not dataset.registry.has_vocabulary(args.vocab):
@@ -89,18 +89,11 @@ def cmd_terms(args: argparse.Namespace) -> int:
         )
     with open(args.file, encoding="utf-8") as fh:
         added = dataset.registry.import_terms(fh, vocab_id=args.vocab)
-    save_dataset(dataset, data_dir(args))
-    print(f"terms_added\t{added}")
-    print(
-        f"vocabulary {args.vocab!r} now holds "
-        f"{dataset.registry.term_count(args.vocab)} terms",
-        file=sys.stderr,
-    )
-    return 0
+    held = dataset.registry.term_count(args.vocab)
+    return [f"terms_added\t{added}"], [f"vocabulary {args.vocab!r} now holds {held} terms"]
 
 
-def cmd_lookup(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args)
+def cmd_lookup(dataset: Dataset, args: argparse.Namespace) -> None:
     relations = parse_relations(args.relation) if args.relation else None
     min_rating = RelevanceRating.parse(args.min_rating) if args.min_rating else None
     results = dataset.store.mappings_from(
@@ -110,18 +103,14 @@ def cmd_lookup(args: argparse.Namespace) -> int:
         min_rating=min_rating,
     )
     _print_mapping_rows(results)
-    return 0
 
 
-def cmd_reverse(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args)
+def cmd_reverse(dataset: Dataset, args: argparse.Namespace) -> None:
     results = dataset.store.mappings_to(args.term, target_vocab=args.vocab)
     _print_mapping_rows(results)
-    return 0
 
 
-def cmd_expand(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args)
+def cmd_expand(dataset: Dataset, args: argparse.Namespace) -> None:
     config = ExpansionConfig(
         relations=frozenset(parse_relations(args.relations)),
         target_vocabs=frozenset(split_list(args.vocabs)) if args.vocabs else None,
@@ -138,22 +127,18 @@ def cmd_expand(args: argparse.Namespace) -> int:
                 f"{added.relation.value}, {added.rating.value or 'unrated'})",
                 file=sys.stderr,
             )
-    return 0
 
 
-def cmd_translate(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args)
+def cmd_translate(dataset: Dataset, args: argparse.Namespace) -> None:
     candidates = translate(dataset, args.term, args.to, source_lang=getattr(args, "from"))
     for c in candidates:
         print("\t".join((c.term, c.vocab, c.rating.value, c.path)))
-    return 0
 
 
-def cmd_infer(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args)
+def cmd_infer(dataset: Dataset, args: argparse.Namespace) -> Summary | None:
     inferred = infer_pivot(dataset.store, args.source, args.target, args.via)
     sys.stdout.write(export_inferred_tsv(inferred, args.source, args.target))
-    if args.promote:
+    if args.writes:  # --promote
         crosswalk, _ = dataset.store.ensure_crosswalk(args.source, args.target)
         promoted = 0
         for m in inferred:
@@ -162,21 +147,16 @@ def cmd_infer(args: argparse.Namespace) -> int:
             except ConflictError:
                 continue
             promoted += 1
-        save_dataset(dataset, data_dir(args))
-        print(f"promoted {promoted} mappings into {crosswalk.id}", file=sys.stderr)
-    return 0
+        return [], [f"promoted {promoted} mappings into {crosswalk.id}"]
 
 
-def cmd_variants(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args)
+def cmd_variants(dataset: Dataset, args: argparse.Namespace) -> None:
     for c in detect_variant_mappings(dataset.store, args.target):
         labels = (target.label for target in c.targets)
         print("\t".join((c.term, *c.vocab_pair, c.target_vocab, *labels)))
-    return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args)
+def cmd_check(dataset: Dataset, args: argparse.Namespace) -> None:
     with open(args.corpus, encoding="utf-8") as fh:
         load = load_corpus(fh)
     for line_no, reason in load.errors:
@@ -190,11 +170,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         f"empty-target rate {report.empty_target_rate:.2f}",
         file=sys.stderr,
     )
-    return 0
 
 
-def cmd_skos_export(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args)
+def cmd_skos_export(dataset: Dataset, args: argparse.Namespace) -> None:
     export = export_skos(dataset.store, args.crosswalk or None)
     sys.stdout.write(export.text)
     print(
@@ -202,30 +180,23 @@ def cmd_skos_export(args: argparse.Namespace) -> int:
         f"{export.skipped_combination} combination mappings",
         file=sys.stderr,
     )
-    return 0
 
 
-def cmd_skos_import(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args)
+def cmd_skos_import(dataset: Dataset, args: argparse.Namespace) -> Summary:
     with open(args.file, encoding="utf-8") as fh:
         report = import_skos(dataset.store, fh, args.source, args.target)
-    save_dataset(dataset, data_dir(args))
-    print(f"mappings_added\t{report.mappings_added}")
-    for line_no, reason in report.errors:
-        print(rejected_line(args.file, line_no, reason), file=sys.stderr)
+    err = [rejected_line(args.file, line_no, reason) for line_no, reason in report.errors]
     for line_no, predicate in report.skipped_predicates:
-        print(rejected_line(args.file, line_no, f"skipped predicate {predicate}"), file=sys.stderr)
-    return 0
+        err.append(rejected_line(args.file, line_no, f"skipped predicate {predicate}"))
+    return [f"mappings_added\t{report.mappings_added}"], err
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args)
+def cmd_stats(dataset: Dataset, args: argparse.Namespace) -> None:
     print("#crosswalk\tmappings\t=\t<\t>\t^\t0\thigh\tmedium\tlow\tunrated")
     for crosswalk_id, stats in dataset.store.stats().items():
         counts = [stats.mapping_count, *(stats.relations[r] for r in RelationType)]
         counts += [stats.ratings[r] for r in RelevanceRating]
         print("\t".join([crosswalk_id, *map(str, counts)]))
-    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -254,11 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--data",
         help=f"data directory (default: ${DATA_ENV} or ./komohe-data)",
     )
+    parser.set_defaults(writes=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("import", help="merge a crosswalk TSV file into the store")
     p.add_argument("file")
-    p.set_defaults(func=cmd_import)
+    p.set_defaults(func=cmd_import, writes=True)
 
     p = sub.add_parser("export", help="write crosswalks as TSV to stdout")
     p.add_argument("--crosswalk", action="append", help="crosswalk id, e.g. A-B (repeatable)")
@@ -274,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--name", help="name for a new vocabulary")
     p.add_argument("--discipline", help="discipline for a new vocabulary")
-    p.set_defaults(func=cmd_terms)
+    p.set_defaults(func=cmd_terms, writes=True)
 
     p = sub.add_parser("lookup", help="mappings whose source is the given term")
     p.add_argument("term")
@@ -309,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--promote",
         action="store_true",
+        dest="writes",
         help="write the inferred mappings into the store",
     )
     p.set_defaults(func=cmd_infer)
@@ -332,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.set_defaults(func=cmd_skos_import)
+    p.set_defaults(func=cmd_skos_import, writes=True)
 
     p = sub.add_parser("stats", help="per-crosswalk mapping tallies")
     p.set_defaults(func=cmd_stats)
@@ -347,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse argv and dispatch; returns the process exit code."""
+    """Parse argv, load, run the op and save if it writes; returns the process exit code."""
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
     )
@@ -357,7 +330,18 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if args.func is cmd_serve:
+            return cmd_serve(args)
+        dataset = load_dataset(args)
+        summary = args.func(dataset, args)
+        if args.writes:
+            save_dataset(dataset, data_dir(args))
+            out, err = summary
+            for line in out:
+                print(line)
+            for line in err:
+                print(line, file=sys.stderr)
+        return 0
     except (KomoheError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

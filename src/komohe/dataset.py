@@ -38,9 +38,7 @@ class Dataset:
     loaded objects instead of re-scanning them. The freeze is process-wide: it
     also takes every other object alive at that moment out of the collector's
     reach until gc.unfreeze(). A Dataset holds no reference cycles, so a
-    dropped one is still freed by reference counting: two 100k loads in one
-    process, the first dropped before the second, peak at about the same
-    ru_maxrss with and without the freeze.
+    dropped one is still freed by reference counting (README "Data model").
     """
 
     registry: VocabularyRegistry

@@ -61,10 +61,8 @@ def gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector, then restore the caller's setting, also on error.
 
     A load frees almost no cycles, yet each full collection re-scans the growing
-    store. Left in the collector, the ~326k objects of a 100k load are re-scanned
-    by the collections later allocations trigger: on a 2-core box one gen1
-    (~0.07 s), then a gen2 (~0.08-0.12 s) each time about a quarter as many
-    objects again have been added. Dataset.load therefore freezes what it loaded.
+    store; README "Data model" gives the cost. Dataset.load also freezes what it
+    loaded, so later collections skip it.
     """
     was_enabled = gc.isenabled()
     gc.disable()

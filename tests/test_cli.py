@@ -432,3 +432,88 @@ class TestRobustness:
         assert f"{nt}:1:" in captured.err
         assert run(datadir, "lookup", "x") == 0
         assert capsys.readouterr().out == ""
+
+
+class TestRunner:
+    """run() loads the data dir once per command but serve, and saves it once
+    for a command that writes, before the command's summary is printed."""
+
+    CHAIN = TestInfer.CHAIN + "b\thacking\t=\ta\thacker\thigh\n"
+    PROMOTE = ("infer", "--from", "a", "--to", "c", "--via", "b", "--promote")
+    PROMOTED_TSV = "#komohe-tsv v1\na\thacker\t=\tc\tcomputer crime\tmedium\t# via:b\n"
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("chain.tsv").write_text(self.CHAIN, encoding="utf-8")
+        Path("corpus.tsv").write_text(CORPUS_TSV, encoding="utf-8")
+        Path("swd.txt").write_text("#terms swd\nSoziologie\n", encoding="utf-8")
+        exact_match = "http://www.w3.org/2004/02/skos/core#exactMatch"
+        Path("m.nt").write_text(f"<urn:kos:X:x> <{exact_match}> <urn:kos:Y:y> .\n", encoding="utf-8")
+        Path("bad.nt").write_bytes(b"\xff<urn:kos:X:x>\n")  # not UTF-8: the read raises
+        assert cli.run(["--data", "data", "import", "chain.tsv"]) == 0
+        capsys.readouterr()
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, code, loads, saves",
+        [
+            (("import", "chain.tsv"), 0, 1, 1),
+            (("import", "missing.tsv"), 1, 1, 0),
+            (("export",), 0, 1, 0),
+            (("terms", "swd", "swd.txt", "--lang", "de"), 0, 1, 1),
+            (("lookup", "hacker"), 0, 1, 0),
+            (("reverse", "hacking"), 0, 1, 0),
+            (("expand", "hacker"), 0, 1, 0),
+            (("translate", "hacker", "--to", "en"), 0, 1, 0),
+            (PROMOTE[:-1], 0, 1, 0),
+            (PROMOTE, 0, 1, 1),
+            (("infer", "--from", "a", "--to", "a", "--via", "b", "--promote"), 1, 1, 0),
+            (("variants", "--target", "b"), 0, 1, 0),
+            (("check", "--crosswalk", "a-b", "--corpus", "corpus.tsv", "--sample", "1"), 0, 1, 0),
+            (("skos-export",), 0, 1, 0),
+            (("skos-import", "m.nt", "--source", "X", "--target", "Y"), 0, 1, 1),
+            (("skos-import", "bad.nt", "--source", "X", "--target", "Y"), 1, 1, 0),
+            (("stats",), 0, 1, 0),
+            (("serve", "--port", "0"), 0, 0, 0),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, tuple) else None,
+    )
+    def test_loads_and_saves(self, workdir, monkeypatch, argv, code, loads, saves):
+        calls = {"load": 0, "save": 0}
+        real_load, real_save = cli.load_dataset, cli.save_dataset
+
+        def counting_load(args):
+            calls["load"] += 1
+            return real_load(args)
+
+        def counting_save(dataset, directory):
+            calls["save"] += 1
+            real_save(dataset, directory)
+
+        monkeypatch.setattr(cli, "load_dataset", counting_load)
+        monkeypatch.setattr(cli, "save_dataset", counting_save)
+        monkeypatch.setattr(cli, "serve", lambda config: 0)
+        assert cli.run(["--data", "data", *argv]) == code
+        assert calls == {"load": loads, "save": saves}
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (("import", "chain.tsv"), ""),
+            (("terms", "swd", "swd.txt", "--lang", "de"), ""),
+            # infer streams its TSV before the save; only the summary waits for it
+            (PROMOTE, PROMOTED_TSV),
+            (("skos-import", "m.nt", "--source", "X", "--target", "Y"), ""),
+        ],
+        ids=["import", "terms", "infer", "skos-import"],
+    )
+    def test_failed_save_prints_no_summary(self, workdir, monkeypatch, capsys, argv, out):
+        def disk_full(dataset, directory):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "save_dataset", disk_full)
+        assert cli.run(["--data", "data", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err == "error: disk full\n"
