@@ -41,9 +41,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.doc_ids)
 
-    def count_with(self, vocab: str, term: str) -> int:
-        return self.count_with_all(vocab, (term,))
-
     def count_with_all(self, vocab: str, terms: tuple[str, ...]) -> int:
         """Documents carrying every term (smallest postings first); no terms: all."""
         by_term = self.postings.get(vocab, {})
@@ -119,7 +116,7 @@ def assess_mapping(
     """
     if mapping.relation is RelationType.NULL or mapping.target is None:
         raise InvalidMappingError("cannot assess a null mapping")
-    source_hits = corpus.count_with(source_vocab, mapping.source.terms[0])
+    source_hits = corpus.count_with_all(source_vocab, mapping.source.terms)
     target_hits = corpus.count_with_all(target_vocab, mapping.target.terms)
     verdict = Verdict.OK if target_hits > 0 else Verdict.EMPTY_TARGET
     return Assessment(source_hits=source_hits, target_hits=target_hits, verdict=verdict)

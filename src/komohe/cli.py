@@ -6,7 +6,8 @@ Machine-readable results go to stdout, diagnostics to stderr. Exit codes:
 The working data lives in a directory (flag --data, else $KOMOHE_DATA,
 else ./komohe-data) laid out by komohe.dataset. run() loads it once per
 command and hands the dataset to the command's op; for a writing command it
-then saves it once and prints the op's summary only after the save succeeds.
+then saves it once, if the op added anything, and prints the op's summary
+only after the save succeeds.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ def load_dataset(args: argparse.Namespace) -> Dataset:
     if not directory.exists():
         return Dataset.empty()
     return Dataset.load([directory])
+
+
+def _sizes(dataset: Dataset) -> tuple[dict[str, int], int]:
+    """Each vocabulary's term count and the mapping count: ops only ever add, so
+    equal sizes before and after an op mean it changed nothing a save writes."""
+    registry = dataset.registry
+    terms = {vocab.id: registry.term_count(vocab.id) for vocab in registry.vocabularies()}
+    return terms, sum(len(crosswalk.mappings) for crosswalk in dataset.store.crosswalks())
 
 
 def _print_mapping_rows(results) -> None:
@@ -320,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse argv, load, run the op and save if it writes; returns the process exit code."""
+    """Parse argv, load, run the op and save if it wrote; returns the process exit code."""
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
     )
@@ -333,9 +342,11 @@ def run(argv: list[str] | None = None) -> int:
         if args.func is cmd_serve:
             return cmd_serve(args)
         dataset = load_dataset(args)
+        loaded = _sizes(dataset) if args.writes else None
         summary = args.func(dataset, args)
         if args.writes:
-            save_dataset(dataset, data_dir(args))
+            if _sizes(dataset) != loaded:  # a writer that added nothing leaves the files
+                save_dataset(dataset, data_dir(args))
             out, err = summary
             for line in out:
                 print(line)

@@ -298,9 +298,9 @@ def expand_query(
     def expand_leaf(node: Leaf) -> Node:
         results = store.mappings_from(
             node.text,
-            relations=set(config.relations),
+            relations=config.relations,
             min_rating=config.min_rating,
-            target_vocabs=set(config.target_vocabs) if config.target_vocabs else None,
+            target_vocabs=config.target_vocabs or None,
         )
         additions: list[AddedTerm] = []
         group: list[Node] = [node]

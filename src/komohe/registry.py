@@ -136,15 +136,6 @@ class VocabularyRegistry:
         self._terms[vocabulary.id] = {}
         return vocabulary.id
 
-    def ensure_vocabulary(self, vocab_id: str, language: str = "en") -> Vocabulary:
-        """Return the vocabulary, auto-registering it if unknown."""
-        existing = self._vocabularies.get(vocab_id)
-        if existing is not None:
-            return existing
-        vocabulary = Vocabulary(id=vocab_id, language=language)
-        self.register_vocabulary(vocabulary)
-        return vocabulary
-
     def vocabulary(self, vocab_id: str) -> Vocabulary:
         try:
             return self._vocabularies[vocab_id]

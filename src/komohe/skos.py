@@ -62,10 +62,6 @@ class SkosExport:
     skipped_null: int = 0
     skipped_combination: int = 0
 
-    @property
-    def line_count(self) -> int:
-        return self.text.count("\n")  # one triple per line, no blank lines
-
 
 @dataclass
 class SkosImportReport(ImportReport):

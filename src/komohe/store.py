@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, AbstractSet, Callable, Iterable, Iterator
 
 from .errors import (
     ConflictError,
@@ -101,12 +101,6 @@ class RelevanceRating(Enum):
     @property
     def rank(self) -> int:
         return _RATING_RANK[self]
-
-    def meets(self, minimum: "RelevanceRating | None") -> bool:
-        """Threshold check; UNRATED fails every explicit threshold."""
-        if minimum is None:
-            return True
-        return self is not RelevanceRating.UNRATED and self.rank >= minimum.rank
 
     @classmethod
     def parse(cls, text: str) -> "RelevanceRating":
@@ -188,15 +182,6 @@ class Mapping:
                     f"target {target.terms!r} cannot be written: "
                     f"{COMBINATION_JOIN!r} joins combination members"
                 )
-
-    @property
-    def triple(self) -> tuple[tuple[str, ...], str, tuple[str, ...] | None]:
-        """The mapping's (source terms, relation symbol, target terms) as plain values."""
-        return (
-            self.source.terms,
-            self.relation.value,
-            self.target.terms if self.target else None,
-        )
 
     @property
     def label(self) -> str:
@@ -466,15 +451,17 @@ class CrosswalkStore:
         self,
         term: str,
         source_vocab: str | None = None,
-        relations: set[RelationType] | None = None,
+        relations: AbstractSet[RelationType] | None = None,
         min_rating: RelevanceRating | None = None,
-        target_vocabs: set[str] | None = None,
+        target_vocabs: AbstractSet[str] | None = None,
     ) -> list[tuple[Crosswalk, Mapping]]:
         """All mappings whose source equals the (normalized) term.
 
         Ordered by crosswalk id, then insertion order within a crosswalk.
         """
         normalized = normalize_term(term)
+        # UNRATED ranks 0, so a floor of at least 1 fails it at every explicit threshold
+        floor = None if min_rating is None else max(min_rating.rank, 1)
         results: list[tuple[Crosswalk, Mapping]] = []
         for crosswalk in self._by_source.get(normalized, ()):
             if source_vocab is not None and crosswalk.source_vocab != source_vocab:
@@ -484,7 +471,7 @@ class CrosswalkStore:
             for mapping in crosswalk.by_source[normalized]:
                 if relations is not None and mapping.relation not in relations:
                     continue
-                if not mapping.rating.meets(min_rating):
+                if floor is not None and mapping.rating.rank < floor:
                     continue
                 results.append((crosswalk, mapping))
         return results

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from komohe.errors import KomoheError, QueryParseError
+from komohe.registry import Vocabulary
 from komohe.store import Concept, Mapping, RelationType, RelevanceRating
 
 # ----------------------------------------------------------------------
@@ -257,8 +258,9 @@ def row_by_row_load(store, rows) -> list[tuple[int, str]]:
             # ensure_crosswalk rejects an equal pair before it reads the
             # registry, so such a row registers no vocabulary
             if source_vocab != target_vocab:
-                store.registry.ensure_vocabulary(source_vocab)
-                store.registry.ensure_vocabulary(target_vocab)
+                for vocab in (source_vocab, target_vocab):
+                    if not store.registry.has_vocabulary(vocab):
+                        store.registry.register_vocabulary(Vocabulary(vocab))
             crosswalk, _ = store.ensure_crosswalk(source_vocab, target_vocab)
             store.registry.add_term(source_vocab, source_term)
             for member in members:

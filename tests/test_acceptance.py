@@ -147,7 +147,7 @@ def test_criterion_4_round_trips(capsys):
 
         def triple_set(dataset):
             return {
-                (cw.id, m.triple, m.rating)
+                (cw.id, m.source, m.relation, m.target, m.rating)
                 for cw in dataset.store.crosswalks()
                 for m in cw.mappings
             }

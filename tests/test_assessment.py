@@ -42,25 +42,25 @@ class TestLoadCorpus:
     def test_descriptors_normalized(self):
         text = "#corpus v1\nd1\ta\t ISDN   Device \n"
         load = load_corpus(io.StringIO(text))
-        assert load.corpus.count_with("a", "isdn device") == 1
+        assert load.corpus.count_with_all("a", ("isdn device",)) == 1
 
     def test_document_counts_when_its_only_term_is_rejected(self):
         load = load_corpus(io.StringIO("#corpus v1\nd1\ta\t   \nd2\ta\tx"))
         assert [no for no, _ in load.errors] == [2]
         assert len(load.corpus) == 2
         assert load.corpus.count_with_all("a", ()) == 2
-        assert load.corpus.count_with("a", "x") == 1
+        assert load.corpus.count_with_all("a", ("x",)) == 1
 
     def test_counts(self, corpus):
         assert len(corpus) == 20
-        assert corpus.count_with("B", "hacking") == 5
-        assert corpus.count_with("A", "hacker") == 2
-        assert corpus.count_with("B", "ghost") == 0
+        assert corpus.count_with_all("B", ("hacking",)) == 5
+        assert corpus.count_with_all("A", ("hacker",)) == 2
+        assert corpus.count_with_all("B", ("ghost",)) == 0
 
     def test_conjunctive_counting(self, corpus):
         # d05 has computers only, d06/d18 have crime; only d18 has both
-        assert corpus.count_with("B", "computers") == 2
-        assert corpus.count_with("B", "crime") == 2
+        assert corpus.count_with_all("B", ("computers",)) == 2
+        assert corpus.count_with_all("B", ("crime",)) == 2
         assert corpus.count_with_all("B", ["computers", "crime"]) == 1
         assert corpus.count_with_all("B", ["internet", "security"]) == 2
 
@@ -135,7 +135,7 @@ class TestPostings:
                 docs, vocab, terms
             )
             for term in terms:
-                assert load.corpus.count_with(vocab, term) == brute_force_count(docs, vocab, [term])
+                assert load.corpus.count_with_all(vocab, (term,)) == brute_force_count(docs, vocab, [term])
 
 
 class TestPostingsLayout:
@@ -150,7 +150,7 @@ class TestPostingsLayout:
                 assert type(docs) is tuple
                 assert len(set(docs)) == len(docs)
                 assert all(doc_id is corpus.doc_ids[doc_id] for doc_id in docs)
-        assert corpus.count_with("B", "crime") == 2
+        assert corpus.count_with_all("B", ("crime",)) == 2
 
     def test_each_raw_term_is_normalized_once_per_vocabulary(self, monkeypatch):
         seen = []

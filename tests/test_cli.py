@@ -441,11 +441,13 @@ class TestRunner:
     CHAIN = TestInfer.CHAIN + "b\thacking\t=\ta\thacker\thigh\n"
     PROMOTE = ("infer", "--from", "a", "--to", "c", "--via", "b", "--promote")
     PROMOTED_TSV = "#komohe-tsv v1\na\thacker\t=\tc\tcomputer crime\tmedium\t# via:b\n"
+    NEW_ROW = "#komohe-tsv v1\na\tcracker\t=\tb\thacking\tlow\n"  # not in CHAIN
 
     @pytest.fixture
     def workdir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         Path("chain.tsv").write_text(self.CHAIN, encoding="utf-8")
+        Path("new.tsv").write_text(self.NEW_ROW, encoding="utf-8")
         Path("corpus.tsv").write_text(CORPUS_TSV, encoding="utf-8")
         Path("swd.txt").write_text("#terms swd\nSoziologie\n", encoding="utf-8")
         exact_match = "http://www.w3.org/2004/02/skos/core#exactMatch"
@@ -458,7 +460,7 @@ class TestRunner:
     @pytest.mark.parametrize(
         "argv, code, loads, saves",
         [
-            (("import", "chain.tsv"), 0, 1, 1),
+            (("import", "new.tsv"), 0, 1, 1),
             (("import", "missing.tsv"), 1, 1, 0),
             (("export",), 0, 1, 0),
             (("terms", "swd", "swd.txt", "--lang", "de"), 0, 1, 1),
@@ -500,7 +502,7 @@ class TestRunner:
     @pytest.mark.parametrize(
         "argv, out",
         [
-            (("import", "chain.tsv"), ""),
+            (("import", "new.tsv"), ""),
             (("terms", "swd", "swd.txt", "--lang", "de"), ""),
             # infer streams its TSV before the save; only the summary waits for it
             (PROMOTE, PROMOTED_TSV),
@@ -517,3 +519,52 @@ class TestRunner:
         captured = capsys.readouterr()
         assert captured.out == out
         assert captured.err == "error: disk full\n"
+
+    @pytest.mark.parametrize(
+        "argv, out, err",
+        [
+            # the fixture imported chain.tsv already, so each of its rows is a duplicate
+            (
+                ("import", "chain.tsv"),
+                "crosswalks_created\t0\nmappings_added\t0\nerrors\t3\n",
+                "chain.tsv:2: duplicate mapping 'hacker = hacking' in 'a-b'\n"
+                "chain.tsv:3: duplicate mapping 'hacking = computer crime' in 'b-c'\n"
+                "chain.tsv:4: duplicate mapping 'hacking = hacker' in 'b-a'\n",
+            ),
+            # the first run promotes the one inferred mapping, the second finds it stored
+            (PROMOTE, PROMOTED_TSV, "promoted 0 mappings into a-c\n"),
+        ],
+        ids=["import", "infer"],
+    )
+    def test_a_writer_that_adds_nothing_leaves_the_files(
+        self, workdir, monkeypatch, capsys, argv, out, err
+    ):
+        assert cli.run(["--data", "data", *argv]) == 0
+        capsys.readouterr()
+
+        def snapshot():
+            return {
+                path.name: (path.read_bytes(), path.stat().st_mtime_ns, path.stat().st_ino)
+                for path in Path("data").iterdir()
+            }
+
+        before = snapshot()
+        saves = []
+        real_save = cli.save_dataset
+
+        def counting_save(dataset, directory):
+            saves.append(directory)
+            real_save(dataset, directory)
+
+        monkeypatch.setattr(cli, "save_dataset", counting_save)
+        assert cli.run(["--data", "data", *argv]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
+        assert saves == []
+        assert snapshot() == before
+
+    def test_a_writer_that_adds_nothing_makes_no_data_dir(self, workdir, capsys):
+        Path("empty.tsv").write_text("#komohe-tsv v1\n", encoding="utf-8")
+        assert cli.run(["--data", "fresh", "import", "empty.tsv"]) == 0
+        assert capsys.readouterr().out == "crosswalks_created\t0\nmappings_added\t0\nerrors\t0\n"
+        assert not Path("fresh").exists()

@@ -11,7 +11,7 @@ from komohe.inference import (
     export_inferred_tsv,
     infer_pivot,
 )
-from komohe.registry import VocabularyRegistry
+from komohe.registry import Vocabulary, VocabularyRegistry
 from komohe.service import Dataset
 from komohe.store import Concept, CrosswalkStore, Mapping, RelationType, RelevanceRating
 
@@ -131,7 +131,7 @@ class TestInferPivot:
     def test_path_holds_the_ids_add_mapping_returned(self):
         registry = VocabularyRegistry()
         for vocab, terms in (("a", ["x", "y"]), ("b", ["p", "q"]), ("c", ["t"])):
-            registry.ensure_vocabulary(vocab)
+            registry.register_vocabulary(Vocabulary(vocab))
             for term in terms:
                 registry.add_term(vocab, term)
         store = CrosswalkStore(registry)

@@ -86,8 +86,9 @@ def test_tsv_export_import_export_is_identity(rows):
             # rejected only when the joined members would split differently
             assert COMBINATION_JOIN.join(keys[1:]).split(COMBINATION_JOIN) != keys[1:]
             continue
-        store.registry.ensure_vocabulary(source_vocab)
-        store.registry.ensure_vocabulary(target_vocab)
+        for vocab in (source_vocab, target_vocab):
+            if not store.registry.has_vocabulary(vocab):
+                store.registry.register_vocabulary(Vocabulary(vocab))
         crosswalk, _ = store.ensure_crosswalk(source_vocab, target_vocab)
         store.registry.add_term(source_vocab, source)
         for member in members if target else ():
@@ -283,7 +284,7 @@ def test_skos_round_trip_keeps_single_target_mappings(source_vocab, target_vocab
         except KomoheError:
             continue
     expected = {
-        m.triple
+        (m.source, m.relation, m.target)
         for cw in store.crosswalks()
         for m in cw.mappings
         if m.target is not None and m.target.is_single
@@ -292,7 +293,7 @@ def test_skos_round_trip_keeps_single_target_mappings(source_vocab, target_vocab
     report = import_skos(again, export_skos(store).text, source_vocab, target_vocab)
     assert report.errors == []
     got = [m for cw in again.crosswalks() for m in cw.mappings]
-    assert len(got) == len(expected) and {m.triple for m in got} == expected
+    assert len(got) == len(expected) and {(m.source, m.relation, m.target) for m in got} == expected
     assert all(m.rating is RelevanceRating.UNRATED for m in got)
 
 
@@ -393,7 +394,7 @@ def test_tsv_load_matches_a_row_by_row_load(preloaded, rows):
     rows = rows + rows[: len(rows) // 2]  # duplicates, and memo hits on known raw strings
     fast, slow = CrosswalkStore(VocabularyRegistry()), CrosswalkStore(VocabularyRegistry())
     for store in (fast, slow):  # a term list loaded first: its display forms win
-        store.registry.ensure_vocabulary("a")
+        store.registry.register_vocabulary(Vocabulary("a"))
         for term in preloaded:
             store.registry.add_term("a", term)
     report = fast.import_tsv("#komohe-tsv v1\n" + "".join("\t".join(r) + "\n" for r in rows))

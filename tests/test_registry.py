@@ -115,20 +115,13 @@ class TestRegistry:
 
     def test_display_equal_to_its_key_is_the_key_object(self):
         reg = VocabularyRegistry()
-        reg.ensure_vocabulary("a")
+        reg.register_vocabulary(Vocabulary("a"))
         plain = reg.add_term("a", "crime")
         assert plain.display is plain.normalized
         spaced = reg.add_term("a", "  data  privacy\n")  # trimmed to a different display form
         assert spaced.display == "data  privacy" and spaced.normalized == "data privacy"
         cased = reg.intern_term("a", "hacker", "hacker ")  # trimmed to the key itself
         assert cased.display is cased.normalized
-
-    def test_ensure_vocabulary_is_idempotent(self):
-        reg = VocabularyRegistry()
-        v1 = reg.ensure_vocabulary("a", language="de")
-        v2 = reg.ensure_vocabulary("a", language="en")  # second lang ignored
-        assert v1 is v2
-        assert reg.vocabulary("a").language == "de"
 
     def test_by_language(self):
         reg = VocabularyRegistry()
@@ -139,7 +132,7 @@ class TestRegistry:
 
     def test_add_term_keeps_display_form(self):
         reg = VocabularyRegistry()
-        reg.ensure_vocabulary("a")
+        reg.register_vocabulary(Vocabulary("a"))
         term = reg.add_term("a", "  Information  Science ")
         assert term == Term("a", "information science", "Information  Science")
         found = reg.lookup_term("a", "INFORMATION   SCIENCE")
@@ -147,7 +140,7 @@ class TestRegistry:
 
     def test_add_term_idempotent_on_normalized_key(self):
         reg = VocabularyRegistry()
-        reg.ensure_vocabulary("a")
+        reg.register_vocabulary(Vocabulary("a"))
         first = reg.add_term("a", "Hacker")
         second = reg.add_term("a", "HACKER")
         assert first is second
@@ -155,7 +148,7 @@ class TestRegistry:
 
     def test_lookup_missing_term_returns_none(self):
         reg = VocabularyRegistry()
-        reg.ensure_vocabulary("a")
+        reg.register_vocabulary(Vocabulary("a"))
         assert reg.lookup_term("a", "ghost") is None
 
     def test_term_in_unknown_vocab_raises(self):
@@ -229,7 +222,7 @@ class TestTermFiles:
 
     def test_export_reloads_quoted_ids_and_awkward_display_forms(self):
         reg = VocabularyRegistry()
-        reg.ensure_vocabulary('a"b')
+        reg.register_vocabulary(Vocabulary('a"b'))
         for display in ["#Hashtag", "  #Spaced", "Two\nLines", "Crlf\r\nEnd", "plain"]:
             reg.add_term('a"b', display)
         assert reg.lookup_term('a"b', "two lines").display == "Two Lines"

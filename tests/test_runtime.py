@@ -65,3 +65,50 @@ def test_no_module_reaches_into_another_modules_private_names():
             ):
                 reaches.append(f"{path.name}:{node.lineno}: reads .{node.attr}")
     assert reaches == []
+
+
+# public names that no komohe module calls, each kept on purpose
+UNCALLED_BY_DESIGN = {
+    "single": "normalizing Concept constructor for outside text, behind the public add_mapping",
+    "combination": "normalizing Concept constructor for a 1:n target built from outside text",
+    "concept_uri": "the concept URI form README documents; parse_concept_uri is its inverse",
+    "do_GET": "called by http.server for each GET request",
+    "log_message": "called by http.server for each line it would log",
+}
+
+
+def test_every_public_name_is_used_or_exported():
+    # a public function, method or class must be referenced by name in some
+    # module outside its own def, or be exported in __all__: one way to do each job
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    defs, refs, exported = [], [], set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defs.append((path.name, node))
+            elif isinstance(node, ast.Name):
+                refs.append((path.name, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                refs += [(path.name, node.lineno, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                exported |= {element.value for element in node.value.elts}
+    assert exported
+
+    def used(module: str, node: ast.AST) -> bool:
+        return any(
+            name == node.name and not (path == module and node.lineno <= line <= node.end_lineno)
+            for path, line, name in refs
+        )
+
+    unused = [
+        f"{module}:{node.lineno}: {node.name}"
+        for module, node in defs
+        if node.name not in exported and node.name not in UNCALLED_BY_DESIGN and not used(module, node)
+    ]
+    assert unused == []

@@ -11,7 +11,7 @@ from komohe.errors import (
     KomoheError,
     NotFoundError,
 )
-from komohe.registry import Term, VocabularyRegistry
+from komohe.registry import Term, Vocabulary, VocabularyRegistry
 from komohe.service import Dataset
 from komohe.store import (
     TSV_HEADER,
@@ -28,9 +28,9 @@ from oracles import brute_force_reverse
 
 def fresh_store() -> CrosswalkStore:
     reg = VocabularyRegistry()
-    reg.ensure_vocabulary("a")
-    reg.ensure_vocabulary("b")
-    reg.ensure_vocabulary("c")
+    reg.register_vocabulary(Vocabulary("a"))
+    reg.register_vocabulary(Vocabulary("b"))
+    reg.register_vocabulary(Vocabulary("c"))
     for term in ("x", "y", "z", "w"):
         reg.add_term("a", term)
         reg.add_term("b", term)
@@ -72,13 +72,6 @@ class TestEnums:
         with pytest.raises(InvalidMappingError):
             RelevanceRating.parse("great")
 
-    def test_rating_meets(self):
-        assert RelevanceRating.MEDIUM.meets(RelevanceRating.LOW)
-        assert RelevanceRating.MEDIUM.meets(RelevanceRating.MEDIUM)
-        assert not RelevanceRating.MEDIUM.meets(RelevanceRating.HIGH)
-        # an unrated mapping never clears an explicit threshold
-        assert not RelevanceRating.UNRATED.meets(RelevanceRating.LOW)
-        assert RelevanceRating.UNRATED.meets(None)
 
 
 class TestConcept:
@@ -111,7 +104,7 @@ class TestMappingInvariants:
                 target=Concept.single("y"),
             )
         null = Mapping(source=Concept.single("x"), relation=RelationType.NULL, target=None)
-        assert null.triple == (("x",), "0", None)
+        assert (null.source, null.relation, null.target) == (Concept.single("x"), RelationType.NULL, None)
 
     def test_positive_relation_requires_target(self):
         with pytest.raises(InvalidMappingError):
@@ -160,10 +153,10 @@ class TestCrosswalkLifecycle:
 
     def test_id_collision_from_dashed_vocab_ids(self):
         reg = VocabularyRegistry()
-        reg.ensure_vocabulary("a")
-        reg.ensure_vocabulary("b-c")
-        reg.ensure_vocabulary("a-b")
-        reg.ensure_vocabulary("c")
+        reg.register_vocabulary(Vocabulary("a"))
+        reg.register_vocabulary(Vocabulary("b-c"))
+        reg.register_vocabulary(Vocabulary("a-b"))
+        reg.register_vocabulary(Vocabulary("c"))
         store = CrosswalkStore(reg)
         store.create_crosswalk("a", "b-c")  # id "a-b-c"
         with pytest.raises(ConflictError):
@@ -237,6 +230,31 @@ class TestAddAndQuery:
     def test_min_rating_excludes_unrated(self, sixrow):
         rows = sixrow.store.mappings_from("isdn device", min_rating=RelevanceRating.LOW)
         assert rows == []
+
+    HIGH_ROWS = {"hacker = hacking", "isdn < telecommunications"}
+    MEDIUM_ROWS = HIGH_ROWS | {"hacker ^ computers + crime", "hacker ^ internet + security"}
+    RATED_ROWS = MEDIUM_ROWS | {"documentation system > abstracting services"}
+
+    @pytest.mark.parametrize(
+        "min_rating, kept",
+        [
+            (RelevanceRating.HIGH, HIGH_ROWS),
+            (RelevanceRating.MEDIUM, MEDIUM_ROWS),  # a threshold keeps its own rating
+            (RelevanceRating.LOW, RATED_ROWS),
+            # an unrated mapping clears no explicit threshold, UNRATED's own included
+            (RelevanceRating.UNRATED, RATED_ROWS),
+            (None, RATED_ROWS | {"isdn device 0"}),  # no threshold keeps all
+        ],
+        ids=["high", "medium", "low", "unrated", "none"],
+    )
+    def test_min_rating_threshold(self, sixrow, min_rating, kept):
+        sources = ("hacker", "isdn device", "isdn", "documentation system")
+        got = [
+            mapping.label
+            for source in sources
+            for _, mapping in sixrow.store.mappings_from(source, min_rating=min_rating)
+        ]
+        assert sorted(got) == sorted(kept)
 
     def test_mappings_to_matches_combination_members(self, sixrow):
         rows = sixrow.store.mappings_to("crime")
@@ -473,7 +491,7 @@ class TestAddRow:
 class TestLoadTermMemo:
     def test_mappings_naming_one_term_share_the_registry_key(self):
         registry = VocabularyRegistry()
-        registry.ensure_vocabulary("b")
+        registry.register_vocabulary(Vocabulary("b"))
         registry.add_term("b", "Crime")  # known before the load
         store = CrosswalkStore(registry)
         report = store.import_tsv(
@@ -498,7 +516,7 @@ class TestLoadTermMemo:
 class TestLoadConceptMemo:
     def test_mappings_naming_one_term_share_one_concept(self):
         registry = VocabularyRegistry()
-        registry.ensure_vocabulary("b")
+        registry.register_vocabulary(Vocabulary("b"))
         registry.add_term("b", "Crime")  # known before the load
         store = CrosswalkStore(registry)
         report = store.import_tsv(
@@ -643,7 +661,7 @@ def test_random_round_trip_export_import_identity():
 
     def triples(store):
         return {
-            (cw.id, m.triple, m.rating)
+            (cw.id, m.source, m.relation, m.target, m.rating)
             for cw in store.crosswalks()
             for m in cw.mappings
         }
@@ -667,8 +685,8 @@ class TestCombinationJoinInTerms:
     def test_join_free_targets_survive_a_round_trip(self):
         reg = VocabularyRegistry()
         store = CrosswalkStore(reg)
-        reg.ensure_vocabulary("a")
-        reg.ensure_vocabulary("b")
+        reg.register_vocabulary(Vocabulary("a"))
+        reg.register_vocabulary(Vocabulary("b"))
         store.create_crosswalk("a", "b")
         reg.add_term("a", "x + y")  # only target columns are split
         for term in ("+ c", "d +", "e+f", "+"):
