@@ -130,7 +130,6 @@ class AssessmentRow:
 
 @dataclass
 class AssessmentReport:
-    crosswalk_id: str
     sample_size: int
     rows: list[AssessmentRow] = field(default_factory=list)
 
@@ -169,7 +168,7 @@ def sample_assessment(
     k = min(sample_size, len(candidates))
     rng = random.Random(seed)
     chosen = [candidates[i] for i in sorted(rng.sample(range(len(candidates)), k))]
-    report = AssessmentReport(crosswalk_id=crosswalk_id, sample_size=k)
+    report = AssessmentReport(sample_size=k)
     for mapping in chosen:
         result = assess_mapping(mapping, crosswalk.source_vocab, crosswalk.target_vocab, corpus)
         report.rows.append(AssessmentRow(mapping=mapping, result=result))

@@ -148,7 +148,7 @@ def cmd_infer(dataset: Dataset, args: argparse.Namespace) -> Summary | None:
     inferred = infer_pivot(dataset.store, args.source, args.target, args.via)
     sys.stdout.write(export_inferred_tsv(inferred, args.source, args.target))
     if args.writes:  # --promote
-        crosswalk, _ = dataset.store.ensure_crosswalk(args.source, args.target)
+        crosswalk = dataset.store.ensure_crosswalk(args.source, args.target)
         promoted = 0
         for m in inferred:
             try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import logging
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import quote
@@ -88,24 +89,44 @@ class Dataset:
         return dataset
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Replace path in one step, so a crash leaves the old file or the new one."""
-    temp = path.with_name(path.name + ".tmp")
-    with temp.open("w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(temp, path)
+def _write_atomic(path: Path, text: str, mode: int) -> None:
+    """Replace path in one step, so a crash leaves the old file or the new one.
+
+    The text goes to a new temp file of its own, which mkstemp opens with
+    O_EXCL: no other writer shares it, and no file or link left at a temp
+    name is written through. It is removed if any step fails.
+    """
+    fd, temp = tempfile.mkstemp(dir=path.parent, prefix=".", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, mode)  # mkstemp's 0600 would hide the data from other users
+            fh.write(text)
+            fh.flush()
+            os.fsync(fd)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def save_dataset(dataset: Dataset, directory: Path) -> None:
     """Write one `<vocab>.terms` file per vocabulary (the id percent-encoded)
-    and crosswalks.tsv: the data directory Dataset.load reads back."""
+    and crosswalks.tsv: the data directory Dataset.load reads back. Each file
+    is replaced atomically, then the directory is synced once (POSIX only)."""
     directory.mkdir(parents=True, exist_ok=True)
+    # the mode a plain open() gives; os.umask is read by setting it, here briefly stricter
+    umask = os.umask(0o077)
+    os.umask(umask)
+    mode = 0o666 & ~umask
     for vocab in dataset.registry.vocabularies():
         filename = quote(vocab.id, safe="") + ".terms"
-        _write_atomic(directory / filename, dataset.registry.export_terms(vocab.id))
-    _write_atomic(directory / CROSSWALKS_FILE, dataset.store.export_tsv())
+        _write_atomic(directory / filename, dataset.registry.export_terms(vocab.id), mode)
+    _write_atomic(directory / CROSSWALKS_FILE, dataset.store.export_tsv(), mode)
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)  # makes the renames durable
+    finally:
+        os.close(fd)
 
 
 @dataclass(frozen=True)

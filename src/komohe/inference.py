@@ -64,7 +64,6 @@ class InferredMapping:
     target: Concept
     relation: RelationType
     confidence: RelevanceRating
-    path: tuple[str, str]
     pivot_vocab: str
 
     def as_mapping(self) -> Mapping:
@@ -90,9 +89,9 @@ def infer_pivot(
     if second_hop is None:
         raise NotFoundError(f"no crosswalk {pivot_vocab!r} -> {target_vocab!r}")
 
-    # (source, relation symbol, target) -> (confidence, relation, first-hop position, m1, m2)
-    best: dict[tuple, tuple[RelevanceRating, RelationType, int, Mapping, Mapping]] = {}
-    for position1, m1 in enumerate(first_hop.mappings, start=1):
+    # (source, relation symbol, target) -> (confidence, relation, m1, m2)
+    best: dict[tuple, tuple[RelevanceRating, RelationType, Mapping, Mapping]] = {}
+    for m1 in first_hop.mappings:
         if m1.target is None or not m1.target.is_single:
             continue
         for m2 in second_hop.by_source.get(m1.target.terms[0], ()):
@@ -105,12 +104,8 @@ def infer_pivot(
             key = (m1.source.terms, relation.value, m2.target.terms)
             current = best.get(key)
             if current is None or confidence.rank > current[0].rank:
-                best[key] = (confidence, relation, position1, m1, m2)
-    if not best:
-        return []
+                best[key] = (confidence, relation, m1, m2)
 
-    position2 = {id(m): i for i, m in enumerate(second_hop.mappings, start=1)}
-    first_id, second_id = first_hop.id, second_hop.id
     # the keys are unique, so sorting the items never compares their values
     return [
         InferredMapping(
@@ -118,10 +113,9 @@ def infer_pivot(
             target=m2.target,
             relation=relation,
             confidence=confidence,
-            path=(f"{first_id}:{position1}", f"{second_id}:{position2[id(m2)]}"),
             pivot_vocab=pivot_vocab,
         )
-        for _, (confidence, relation, position1, m1, m2) in sorted(best.items())
+        for _, (confidence, relation, m1, m2) in sorted(best.items())
     ]
 
 
@@ -154,7 +148,7 @@ def detect_variant_mappings(store: CrosswalkStore, target_vocab: str) -> list[Va
     from two or more source vocabularies, each differing target pair is one
     conflict; agreeing targets produce none.
     """
-    # term -> source vocab -> EQ target concepts, insertion-ordered
+    # term -> source vocab -> EQ target concepts, each once: one crosswalk per pair, no triple twice
     targets_by_term: dict[str, dict[str, list[Concept]]] = {}
     for crosswalk in store.crosswalks():
         if crosswalk.target_vocab != target_vocab:
@@ -171,15 +165,10 @@ def detect_variant_mappings(store: CrosswalkStore, target_vocab: str) -> list[Va
         if len(per_vocab) < 2:
             continue
         for vocab_a, vocab_b in combinations(sorted(per_vocab), 2):
-            seen: set[tuple] = set()
             for target_a in per_vocab[vocab_a]:
                 for target_b in per_vocab[vocab_b]:
                     if target_a == target_b:
                         continue
-                    key = (target_a.terms, target_b.terms)
-                    if key in seen:
-                        continue
-                    seen.add(key)
                     conflicts.append(
                         VariantConflict(
                             term=term,

@@ -247,14 +247,12 @@ class ExpansionConfig:
     """Controls which mappings feed leaf expansion.
 
     Defaults follow deployed behavior: equivalence only, every target
-    vocabulary, negated subtrees left alone.
+    vocabulary. Negated subtrees are always left alone.
     """
 
     relations: frozenset[RelationType] = frozenset({RelationType.EQ})
     target_vocabs: frozenset[str] | None = None
-    min_rating: RelevanceRating | None = None
     max_terms_per_leaf: int = 32
-    expand_under_not: bool = False
 
     def __post_init__(self) -> None:
         if RelationType.NULL in self.relations:
@@ -289,7 +287,7 @@ def expand_query(
     """Expand each leaf with its mapped terms, preserving Boolean structure.
 
     A leaf with matches becomes Or(original, added...); leaves without
-    matches, and leaves under NOT unless opted in, pass through unchanged.
+    matches, and every NOT subtree, pass through unchanged.
     The trace lists what was added to each expanded leaf, in order.
     """
     config = config or ExpansionConfig()
@@ -299,7 +297,6 @@ def expand_query(
         results = store.mappings_from(
             node.text,
             relations=config.relations,
-            min_rating=config.min_rating,
             target_vocabs=config.target_vocabs or None,
         )
         additions: list[AddedTerm] = []
@@ -331,15 +328,13 @@ def expand_query(
         trace.append(LeafExpansion(original=node.text, additions=additions))
         return Or(tuple(group))
 
-    def walk(node: Node, under_not: bool) -> Node:
+    def walk(node: Node) -> Node:
         if isinstance(node, Leaf):
-            if under_not and not config.expand_under_not:
-                return node
             return expand_leaf(node)
         if isinstance(node, Junction):
-            return type(node)(tuple(walk(c, under_not) for c in node.children))
+            return type(node)(tuple(walk(c) for c in node.children))
         if isinstance(node, Not):
-            return Not(walk(node.child, True))
+            return node
         raise TypeError(f"not a query node: {node!r}")
 
-    return walk(node, False), trace
+    return walk(node), trace

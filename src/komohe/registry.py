@@ -80,7 +80,7 @@ def _validate_vocab_id(vocab_id: str) -> None:
         # its crosswalk rows would read back as comments
         raise InvalidTermError(f"vocabulary id {vocab_id!r} starts with '#'")
     if len(quote(vocab_id, safe="")) > MAX_VOCAB_ID_BYTES:
-        # its term list, `<quoted id>.terms.tmp` while saved, must fit a 255-byte file name
+        # its term list's file name, `<quoted id>.terms`, must fit in 255 bytes
         raise InvalidTermError(
             f"vocabulary id {vocab_id!r} is longer than {MAX_VOCAB_ID_BYTES} bytes percent-encoded"
         )
@@ -113,7 +113,6 @@ class Vocabulary:
 class Term:
     """A single controlled term: normalized lookup key plus original display form."""
 
-    vocabulary: str
     normalized: str
     display: str
 
@@ -125,8 +124,8 @@ class VocabularyRegistry:
         self._vocabularies: dict[str, Vocabulary] = {}
         self._terms: dict[str, dict[str, Term]] = {}
 
-    def register_vocabulary(self, vocabulary: Vocabulary) -> str:
-        """Register a new vocabulary and return its id.
+    def register_vocabulary(self, vocabulary: Vocabulary) -> None:
+        """Register a new vocabulary.
 
         Raises ConflictError if the id is already taken.
         """
@@ -134,7 +133,6 @@ class VocabularyRegistry:
             raise ConflictError(f"vocabulary {vocabulary.id!r} already registered")
         self._vocabularies[vocabulary.id] = vocabulary
         self._terms[vocabulary.id] = {}
-        return vocabulary.id
 
     def vocabulary(self, vocab_id: str) -> Vocabulary:
         try:
@@ -175,7 +173,7 @@ class VocabularyRegistry:
         # save and reload; other inner spacing is part of the display form.
         display = " ".join(display.strip().splitlines())
         display = normalized if display == normalized else display  # one object for both
-        term = Term(vocabulary=vocab_id, normalized=normalized, display=display)
+        term = Term(normalized=normalized, display=display)
         terms[normalized] = term
         return term
 

@@ -332,12 +332,12 @@ class CrosswalkStore:
         self._crosswalks[crosswalk.id] = crosswalk
         return crosswalk
 
-    def ensure_crosswalk(self, source_vocab: str, target_vocab: str) -> tuple[Crosswalk, bool]:
-        """Get or create; returns (crosswalk, created)."""
+    def ensure_crosswalk(self, source_vocab: str, target_vocab: str) -> Crosswalk:
+        """The crosswalk between the two vocabularies, created if there is none."""
         existing = self.find_crosswalk(source_vocab, target_vocab)
         if existing is not None:
-            return existing, False
-        return self.create_crosswalk(source_vocab, target_vocab), True
+            return existing
+        return self.create_crosswalk(source_vocab, target_vocab)
 
     def crosswalk(self, crosswalk_id: str) -> Crosswalk:
         try:
@@ -360,8 +360,8 @@ class CrosswalkStore:
     # ------------------------------------------------------------------
     # mappings
 
-    def add_mapping(self, crosswalk_id: str, mapping: Mapping) -> str:
-        """Store a mapping; returns its id, `<crosswalk id>:<1-based position>`.
+    def add_mapping(self, crosswalk_id: str, mapping: Mapping) -> None:
+        """Store a mapping at the end of its crosswalk.
 
         The source term must be registered in the source vocabulary and all
         target members in the target vocabulary. Duplicate (source,
@@ -377,7 +377,6 @@ class CrosswalkStore:
                 if self.registry.term(vocab_id, term) is None:
                     raise NotFoundError(f"term {term!r} not registered in {vocab_id!r}")
         self._insert(crosswalk, mapping)
-        return f"{crosswalk_id}:{len(crosswalk.mappings)}"
 
     def _insert(self, crosswalk: Crosswalk, mapping: Mapping) -> None:
         """Index a mapping whose terms are registered; a duplicate triple is a conflict."""

@@ -261,7 +261,7 @@ def row_by_row_load(store, rows) -> list[tuple[int, str]]:
                 for vocab in (source_vocab, target_vocab):
                     if not store.registry.has_vocabulary(vocab):
                         store.registry.register_vocabulary(Vocabulary(vocab))
-            crosswalk, _ = store.ensure_crosswalk(source_vocab, target_vocab)
+            crosswalk = store.ensure_crosswalk(source_vocab, target_vocab)
             store.registry.add_term(source_vocab, source_term)
             for member in members:
                 store.registry.add_term(target_vocab, member)

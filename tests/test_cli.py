@@ -67,7 +67,7 @@ class TestImportExport:
 
     def test_vocabulary_id_too_long_to_save_is_a_rejected_row(self, datadir, tmp_path, capsys):
         tsv = tmp_path / "long.tsv"
-        longest = "b" * 245  # `<id>.terms.tmp` is 255 bytes
+        longest = "b" * 245  # the longest id admitted: `<id>.terms` is 251 bytes
         rows = f"a\tx\t=\tb\ty\thigh\na\tz\t=\t{'é' * 60}\tw\thigh\na\tz\t=\t{longest}\tw\thigh\n"
         tsv.write_text("#komohe-tsv v1\n" + rows, encoding="utf-8")
         assert run(datadir, "import", str(tsv)) == 0
@@ -249,6 +249,26 @@ class TestCheck:
         assert capsys.readouterr().out == first
         assert first.startswith("mapping\tsource_hits\ttarget_hits\tverdict\n")
 
+    def test_rejected_corpus_line_is_reported_with_its_number(self, loaded, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text(CORPUS_TSV + "d99\tB\n", encoding="utf-8")
+        line_no = len(CORPUS_TSV.splitlines()) + 1
+        args = ("check", "--crosswalk", "A-B", "--corpus", str(corpus), "--sample", "3")
+        assert run(loaded, *args) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"{corpus}:{line_no}: expected 3 fields, got 2"
+
+
+class TestVariants:
+    def test_conflict_row(self, datadir, tmp_path, capsys):
+        tsv = tmp_path / "variants.tsv"
+        rows = "a\tx\t=\tc\tp\thigh\nb\tx\t=\tc\tq\thigh\nb\ty\t=\tc\tp\thigh\n"
+        tsv.write_text("#komohe-tsv v1\n" + rows, encoding="utf-8")
+        assert run(datadir, "import", str(tsv)) == 0
+        capsys.readouterr()
+        assert run(datadir, "variants", "--target", "c") == 0
+        assert capsys.readouterr().out == "x\ta\tb\tc\tp\tq\n"
+
 
 class TestSkos:
     def test_export_then_import(self, loaded, datadir, tmp_path, capsys):
@@ -421,6 +441,42 @@ class TestRobustness:
         assert run(loaded, "import", str(extra)) == 1
         assert "error:" in capsys.readouterr().err
         assert (loaded / "crosswalks.tsv").read_bytes() == before
+
+    def modem_row(self, tmp_path):
+        extra = tmp_path / "extra.tsv"
+        extra.write_text("#komohe-tsv v1\nA\tmodem\t=\tB\tnetworks\thigh\n", encoding="utf-8")
+        return str(extra)
+
+    def test_directory_left_at_a_temp_name_does_not_block_the_save(self, loaded, tmp_path, capsys):
+        (loaded / "crosswalks.tsv.tmp").mkdir()
+        assert run(loaded, "import", self.modem_row(tmp_path)) == 0
+        assert "A\tmodem\t=\tB\tnetworks\thigh" in (loaded / "crosswalks.tsv").read_text()
+
+    def test_link_left_at_a_temp_name_is_not_written_through(self, loaded, tmp_path, capsys):
+        outside = tmp_path / "outside.txt"
+        outside.write_text("not komohe data\n", encoding="utf-8")
+        (loaded / "crosswalks.tsv.tmp").symlink_to(Path("..") / "outside.txt")
+        assert run(loaded, "import", self.modem_row(tmp_path)) == 0
+        assert outside.read_text(encoding="utf-8") == "not komohe data\n"
+        assert not (loaded / "crosswalks.tsv").is_symlink()
+        assert "A\tmodem\t=\tB\tnetworks\thigh" in (loaded / "crosswalks.tsv").read_text()
+
+    def test_failed_replace_leaves_no_temp_file(self, loaded, tmp_path, monkeypatch, capsys):
+        before = {path.name: path.read_bytes() for path in loaded.iterdir()}
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert run(loaded, "import", self.modem_row(tmp_path)) == 1
+        assert "error: disk full" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in loaded.iterdir()} == before
+
+    def test_saved_files_get_the_mode_the_umask_allows(self, loaded):
+        umask = os.umask(0o077)
+        os.umask(umask)
+        for path in loaded.iterdir():
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask, path.name
 
     def test_skos_term_with_join_is_rejected(self, datadir, tmp_path, capsys):
         nt = tmp_path / "plus.nt"

@@ -89,7 +89,7 @@ def test_tsv_export_import_export_is_identity(rows):
         for vocab in (source_vocab, target_vocab):
             if not store.registry.has_vocabulary(vocab):
                 store.registry.register_vocabulary(Vocabulary(vocab))
-        crosswalk, _ = store.ensure_crosswalk(source_vocab, target_vocab)
+        crosswalk = store.ensure_crosswalk(source_vocab, target_vocab)
         store.registry.add_term(source_vocab, source)
         for member in members if target else ():
             store.registry.add_term(target_vocab, member)

@@ -182,20 +182,6 @@ class TestExpansion:
         assert expanded == ast
         assert trace == []
 
-    def test_not_subtrees_expanded_on_request(self, sixrow):
-        ast = parse_query("NOT hacker")
-        config = self.default(expand_under_not=True)
-        expanded, _ = expand_query(ast, sixrow.store, config)
-        assert expanded == Not(Or((leaf("hacker"), leaf("hacking"))))
-
-    def test_min_rating_filter(self, sixrow):
-        config = self.default(
-            relations=frozenset({RelationType.EQ, RelationType.ASSOC}),
-            min_rating=RelevanceRating.HIGH,
-        )
-        expanded, _ = expand_query(parse_query("hacker"), sixrow.store, config)
-        assert expanded == Or((leaf("hacker"), leaf("hacking")))
-
     def test_target_vocab_filter(self, sixrow):
         config = self.default(target_vocabs=frozenset({"nope"}))
         expanded, trace = expand_query(parse_query("hacker"), sixrow.store, config)
@@ -266,8 +252,8 @@ def nested_not(depth):
     return node
 
 
-def nested_and_or(depth):
-    node = leaf("a")
+def nested_and_or(depth, inner="a"):
+    node = leaf(inner)
     for i in range(depth):
         node = (And if i % 2 else Or)((node, leaf(f"b{i}")))
     return node
@@ -294,11 +280,12 @@ class TestNestingCap:
         assert exc.value.position == position
 
     def test_expand_and_render_at_the_cap(self, sixrow):
-        ast = parse_query("NOT " * (MAX_QUERY_DEPTH - 1) + "hacker")
-        expanded, trace = expand_query(ast, sixrow.store, ExpansionConfig(expand_under_not=True))
+        ast = nested_and_or(MAX_QUERY_DEPTH - 1, "hacker")
+        expanded, trace = expand_query(ast, sixrow.store, ExpansionConfig())
         assert len(trace) == 1
-        tail = '("hacker" OR "hacking")' + ")" * (MAX_QUERY_DEPTH - 1)
-        assert render_query(expanded).endswith(tail)
+        head = "(" * (MAX_QUERY_DEPTH - 1) + '("hacker" OR "hacking")'
+        assert render_query(expanded).startswith(head)
+        assert parse_query(render_query(expanded)) == expanded
 
 
 class TestLeafCap:

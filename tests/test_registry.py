@@ -64,7 +64,7 @@ class TestVocabulary:
         assert Vocabulary("x#").id == "x#"
 
     def test_rejects_an_id_too_long_for_its_term_list_file_name(self):
-        # `<percent-encoded id>.terms.tmp` must fit in 255 bytes
+        # `<percent-encoded id>.terms` must fit in 255 bytes
         assert Vocabulary("a" * 245).id == "a" * 245
         with pytest.raises(InvalidTermError, match="longer than 245 bytes"):
             Vocabulary("a" * 246)
@@ -134,7 +134,7 @@ class TestRegistry:
         reg = VocabularyRegistry()
         reg.register_vocabulary(Vocabulary("a"))
         term = reg.add_term("a", "  Information  Science ")
-        assert term == Term("a", "information science", "Information  Science")
+        assert term == Term("information science", "Information  Science")
         found = reg.lookup_term("a", "INFORMATION   SCIENCE")
         assert found is term
 

@@ -1,6 +1,7 @@
 """The package runs on the standard library alone, on the Python it declares."""
 
 import ast
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -112,3 +113,25 @@ def test_every_public_name_is_used_or_exported():
         if node.name not in exported and node.name not in UNCALLED_BY_DESIGN and not used(module, node)
     ]
     assert unused == []
+
+
+def test_the_benchmark_tracer_wraps_komohe_and_restores_it():
+    # loaded by path: as a top-level `trace` it would shadow the stdlib module
+    path = PACKAGE.parents[1] / "perfbench" / "trace.py"
+    spec = importlib.util.spec_from_file_location("perfbench_trace", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    import komohe
+    from komohe import cli
+    from komohe.service import KomoheRequestHandler
+
+    normalize_term, route = komohe.registry.normalize_term, KomoheRequestHandler.__dict__["route"]
+    with tracing.Tracer() as tracer:
+        assert komohe.registry.normalize_term is not normalize_term
+        assert komohe.normalize_term is komohe.registry.normalize_term  # re-exports too
+        komohe.registry.normalize_term("X")
+    assert tracer.calls["registry.normalize_term"] == 1
+    assert komohe.registry.normalize_term is normalize_term
+    assert komohe.normalize_term is normalize_term
+    assert KomoheRequestHandler.__dict__["route"] is route
+    assert cli.save_dataset is komohe.dataset.save_dataset

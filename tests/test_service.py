@@ -123,6 +123,16 @@ class TestDatasetLoad:
         extra.write_text("#komohe-tsv v1\nswd\tbildung\t=\tlcsh\teducation\thigh\n")
         assert len(Dataset.load([extra]).store.mappings_from("bildung")) == 1
 
+    def test_explicit_term_list_loads_before_any_crosswalk_file(self, tmp_path):
+        terms = tmp_path / "swd.terms"
+        terms.write_text("#terms swd lang=de\nSoziologie\nBildung\n")
+        tsv = tmp_path / "rows.tsv"
+        tsv.write_text("#komohe-tsv v1\nswd\tsoziologie\t=\tlcsh\tsociology\thigh\n")
+        data = Dataset.load([tsv, terms])
+        assert data.registry.vocabulary("swd").language == "de"
+        assert [t.display for t in data.registry.terms("swd")] == ["Bildung", "Soziologie"]
+        assert len(data.store.mappings_from("soziologie")) == 1
+
     def test_rejected_lines_get_one_summary_per_file(self, tmp_path, caplog):
         bad = "".join(f"a\tx{i}\t?\tb\ty\thigh\n" for i in range(50))
         (tmp_path / "crosswalks.tsv").write_text("#komohe-tsv v1\n" + bad)
@@ -484,6 +494,30 @@ class TestBadInputIs400:
         status, body = get_error(base_url, "/terms/A/isdn%20device/mappings?relation=0")
         assert status == 400
         assert "relation 0" in body["error"]
+
+    @pytest.mark.parametrize(
+        "path, error",
+        [
+            ("/expand?q=hacker&max=abc", "bad max value 'abc'"),
+            ("/translate?to_lang=de", "missing query parameter term"),
+            ("/terms/A/hacker/mappings?min_rating=%20", "min_rating must be high, medium, or low"),
+            ("/terms/A/hacker/mappings?relation=,", "no relation symbols in ','"),
+        ],
+    )
+    def test_bad_parameter_keeps_the_connection(self, base_url, path, error):
+        conn = HTTPConnection(*_address(base_url), timeout=10)
+        try:
+            conn.request("GET", path)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert json.loads(response.read()) == {"v": 1, "error": error}
+            assert not response.will_close
+            conn.request("GET", "/vocabularies")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["v"] == 1
+        finally:
+            conn.close()
 
 
 # Response writes -------------------------------------------------------

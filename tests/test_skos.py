@@ -149,6 +149,24 @@ class TestImport:
         assert len(report.errors) == 1
         assert "other" in report.errors[0][1]
 
+    @pytest.mark.parametrize(
+        "subject, obj, reason",
+        [
+            ("http://example.org/x", "urn:kos:b:y", "not a urn:kos: URI: 'http://example.org/x'"),
+            ("urn:kos:a:x", "urn:kos:b", "malformed concept URI 'urn:kos:b'"),
+        ],
+    )
+    def test_bad_concept_uri_is_line_error(self, subject, obj, reason):
+        data = Dataset.empty()
+        text = (
+            f"<urn:kos:a:w> <{SKOS_NS}exactMatch> <urn:kos:b:v> .\n"
+            f"<{subject}> <{SKOS_NS}exactMatch> <{obj}> .\n"
+            f"<urn:kos:a:x> <{SKOS_NS}exactMatch> <urn:kos:b:y> .\n"
+        )
+        report = import_skos(data.store, io.StringIO(text), "a", "b")
+        assert report.mappings_added == 2
+        assert report.errors == [(2, reason)]
+
     def test_garbage_line_is_line_error(self):
         data = Dataset.empty()
         text = (

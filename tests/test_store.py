@@ -53,7 +53,7 @@ class TestCompactRecords:
         records = [
             Concept.single("x"),
             simple_mapping(),
-            Term(vocabulary="a", normalized="x", display="X"),
+            Term(normalized="x", display="X"),
         ]
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
@@ -146,10 +146,9 @@ class TestCrosswalkLifecycle:
 
     def test_ensure_crosswalk(self):
         store = fresh_store()
-        cw, created = store.ensure_crosswalk("a", "b")
-        assert created and cw.id == "a-b"
-        cw2, created2 = store.ensure_crosswalk("a", "b")
-        assert cw2 is cw and not created2
+        cw = store.ensure_crosswalk("a", "b")
+        assert cw.id == "a-b" and store.crosswalk("a-b") is cw
+        assert store.ensure_crosswalk("a", "b") is cw
 
     def test_id_collision_from_dashed_vocab_ids(self):
         reg = VocabularyRegistry()
@@ -167,10 +166,10 @@ class TestAddAndQuery:
     def test_add_assigns_sequential_ids(self):
         store = fresh_store()
         store.create_crosswalk("a", "b")
-        id1 = store.add_mapping("a-b", simple_mapping("x", target="y"))
-        id2 = store.add_mapping("a-b", simple_mapping("y", target="z"))
-        assert id1 == "a-b:1"
-        assert id2 == "a-b:2"
+        first, second = simple_mapping("x", target="y"), simple_mapping("y", target="z")
+        store.add_mapping("a-b", first)
+        store.add_mapping("a-b", second)
+        assert store.crosswalk("a-b").mappings == [first, second]
 
     def test_add_requires_registered_terms(self):
         store = fresh_store()
