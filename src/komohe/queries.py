@@ -50,6 +50,15 @@ class Leaf:
             # render_query quotes every leaf, and no phrase can hold a quote
             raise ValueError(f"leaf text {self.text!r} holds a double quote")
 
+    @classmethod
+    def of_key(cls, key: str) -> "Leaf":
+        """A leaf for a stored term key, which is normalized already, built without
+        __post_init__'s checks; the caller leaves out a key holding `"`. It sets
+        every field, so a field added to Leaf must be set here too."""
+        node = object.__new__(cls)
+        object.__setattr__(node, "text", key)
+        return node
+
 
 @dataclass(frozen=True)
 class Junction:
@@ -311,9 +320,9 @@ def expand_query(
                 continue
             seen.add(concept.terms)
             if concept.is_single:
-                group.append(Leaf(concept.terms[0]))
+                group.append(Leaf.of_key(concept.terms[0]))
             else:
-                group.append(And(tuple(Leaf(t) for t in concept.terms)))
+                group.append(And(tuple(Leaf.of_key(t) for t in concept.terms)))
             additions.append(
                 AddedTerm(
                     term=concept.label,

@@ -171,7 +171,9 @@ class VocabularyRegistry:
             return existing
         # Outer whitespace and line breaks would not survive a term-list
         # save and reload; other inner spacing is part of the display form.
-        display = " ".join(display.strip().splitlines())
+        # A key holds neither, so a display equal to it needs no clean-up.
+        if display != normalized:
+            display = " ".join(display.strip().splitlines())
         display = normalized if display == normalized else display  # one object for both
         term = Term(normalized=normalized, display=display)
         terms[normalized] = term

@@ -28,7 +28,8 @@ caller's setting afterwards. Its memo maps each raw term string and key,
 per vocabulary, to one Concept around the registry's own key object: a raw
 string seen before skips normalize_term and intern_term, so a load normalizes
 each distinct string once per vocabulary, and mappings naming one term share
-that Concept (a combination, its key). The memo lives for one load, so no
+that Concept (a combination, its key). A raw string the registry holds as a
+key is not normalized at all. The memo lives for one load, so no
 user-supplied string outlives it.
 """
 
@@ -436,12 +437,15 @@ class CrosswalkStore:
         for add_row to register once the row has passed its checks."""
         concept = concepts.get(raw)
         if concept is None:
-            key = normalize_term(raw)
-            if (concept := concepts.get(key)) is None:
-                if (term := self.registry.term(vocab_id, key)) is None:
-                    concept = Concept((key,))
-                    misses.append((vocab_id, concepts, raw, concept))
-                    return concept
+            # a stored key is its own normal form, so a raw key skips normalize_term
+            if (term := self.registry.term(vocab_id, raw)) is None:
+                key = normalize_term(raw)
+                if (concept := concepts.get(key)) is None:
+                    if (term := self.registry.term(vocab_id, key)) is None:
+                        concept = Concept((key,))
+                        misses.append((vocab_id, concepts, raw, concept))
+                        return concept
+            if concept is None:
                 concept = concepts[term.normalized] = Concept((term.normalized,))
             concepts[raw] = concept
         return concept

@@ -7,12 +7,14 @@ bug in the package cannot hide inside its own test.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from komohe.errors import KomoheError, QueryParseError
+from komohe.errors import FormatError, InvalidMappingError, KomoheError, QueryParseError
 from komohe.registry import Vocabulary
+from komohe.skos import parse_concept_uri
 from komohe.store import Concept, Mapping, RelationType, RelevanceRating
 
 # ----------------------------------------------------------------------
@@ -269,6 +271,56 @@ def row_by_row_load(store, rows) -> list[tuple[int, str]]:
         except KomoheError as exc:
             errors.append((line_no, str(exc)))
     return errors
+
+
+# ----------------------------------------------------------------------
+# SKOS N-Triples read, one line at a time: every concept URI goes through
+# parse_concept_uri and then the comparison with the requested
+# vocabularies, and each row is stored through add_row with no memo.
+
+_SKOS = "http://www.w3.org/2004/02/skos/core#"
+_SKOS_RELATIONS = {
+    _SKOS + "exactMatch": RelationType.EQ,
+    _SKOS + "broadMatch": RelationType.BROADER_TARGET,
+    _SKOS + "narrowMatch": RelationType.NARROWER_TARGET,
+    _SKOS + "relatedMatch": RelationType.ASSOC,
+}
+_TRIPLE = re.compile(r"^<([^<>]*)>\s+<([^<>]*)>\s+<([^<>]*)>\s*\.$")
+
+
+def line_by_line_skos_read(store, text: str, source_vocab: str, target_vocab: str):
+    """(mappings added, [(line, reason)], [(line, skipped predicate)]) of reading
+    N-Triples `text` into the source_vocab -> target_vocab crosswalk of `store`."""
+    if source_vocab == target_vocab:
+        raise InvalidMappingError(f"crosswalk source and target must differ (got {source_vocab!r})")
+    added, errors, skipped = 0, [], []
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            match = _TRIPLE.match(line)
+            if match is None:
+                raise FormatError(f"malformed triple: {line!r}")
+            subject, predicate, obj = match.groups()
+            relation = _SKOS_RELATIONS.get(predicate)
+            if relation is None:
+                skipped.append((line_no, predicate))
+                continue
+            subject_vocab, source_term = parse_concept_uri(subject)
+            object_vocab, target_term = parse_concept_uri(obj)
+            if (subject_vocab, object_vocab) != (source_vocab, target_vocab):
+                raise InvalidMappingError(
+                    f"URI vocabularies {subject_vocab!r}->{object_vocab!r} do not "
+                    f"match requested crosswalk {source_vocab!r}->{target_vocab!r}"
+                )
+            store.add_row(
+                source_vocab, source_term, relation, target_vocab, [target_term], RelevanceRating.UNRATED
+            )
+            added += 1
+        except KomoheError as exc:
+            errors.append((line_no, str(exc)))
+    return added, errors, skipped
 
 
 # ----------------------------------------------------------------------

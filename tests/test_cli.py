@@ -293,6 +293,20 @@ class TestSkos:
         assert err_lines == [f"{nt}:1: skipped predicate {close_match}"]
         assert [r for r in caplog.records if r.name == "komohe.skos"] == []
 
+    def test_equal_vocabularies_are_one_error_and_leave_the_data_dir(self, loaded, tmp_path, capsys):
+        exact_match = "http://www.w3.org/2004/02/skos/core#exactMatch"
+        nt = tmp_path / "same.nt"
+        nt.write_text(
+            f"<urn:kos:A:x> <{exact_match}> <urn:kos:A:y> .\n<urn:kos:A:z> <{exact_match}> <urn:kos:A:w> .\n",
+            encoding="utf-8",
+        )
+        before = {path.name: path.read_bytes() for path in loaded.iterdir()}
+        capsys.readouterr()
+        assert run(loaded, "skos-import", str(nt), "--source", "A", "--target", "A") == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: crosswalk source and target must differ (got 'A')\n")
+        assert {path.name: path.read_bytes() for path in loaded.iterdir()} == before
+
 
 class TestStats:
     def test_table(self, loaded, capsys):

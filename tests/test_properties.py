@@ -1,10 +1,12 @@
 """Property tests: TSV, SKOS and data-dir round trips (vocabulary metadata
 included), normalization, the shared line reader, the TSV load against a
-row-by-row oracle, the query tokenizer against a character-loop oracle, and
-the /expand route on fuzzed queries."""
+row-by-row oracle, SKOS URI quoting against urllib and the SKOS import
+against a line-by-line oracle, the query tokenizer against a character-loop
+oracle, and the /expand route on fuzzed queries."""
 
 import tempfile
 from pathlib import Path
+from urllib.parse import quote, unquote
 
 import pytest
 
@@ -12,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from komohe import skos
 from komohe.assessment import load_corpus
 from komohe.dataset import Dataset, save_dataset
 from komohe.errors import (
@@ -41,7 +44,13 @@ from komohe.store import (
 )
 
 from conftest import SIXROW_TSV
-from oracles import brute_force_from, brute_force_reverse, oracle_tokenize, row_by_row_load
+from oracles import (
+    brute_force_from,
+    brute_force_reverse,
+    line_by_line_skos_read,
+    oracle_tokenize,
+    row_by_row_load,
+)
 
 PROPERTY = settings(deadline=None)
 
@@ -295,6 +304,56 @@ def test_skos_round_trip_keeps_single_target_mappings(source_vocab, target_vocab
     got = [m for cw in again.crosswalks() for m in cw.mappings]
     assert len(got) == len(expected) and {(m.source, m.relation, m.target) for m in got} == expected
     assert all(m.rating is RelevanceRating.UNRATED for m in got)
+
+
+@PROPERTY
+@given(st.text())
+def test_quoting_matches_quote(text):
+    assert skos._quote(text) == quote(text, safe="")
+
+
+# escapes of ASCII and of non-ASCII bytes in either case, cut-off escapes and a bare `%`
+ESCAPED = st.lists(
+    st.one_of(
+        st.text(max_size=3),
+        st.sampled_from(["%", "%2", "%3a", "%3A", "%20", "%C3%A9", "%c3%a9", "%C3", "%%", "%7f", "%80", "%FF"]),
+    ),
+    max_size=6,
+).map("".join)
+
+
+@PROPERTY
+@given(ESCAPED)
+def test_unquoting_matches_unquote(text):
+    assert skos._unquote(text) == unquote(text)
+
+
+# URIs that concept_uri writes for the drawn vocabularies, ones it would
+# spell otherwise, and others: text after a vocabulary's prefix may hold `:`
+# or escapes, or be empty
+URI_PREFIX = st.sampled_from(
+    ["", "urn:kos:", "urn:kos::", "urn:kos:a:", "urn:kos:b:", "urn:kos:%61:", "urn:kos:%C3%A9:", "urn:kos:a%3Ab:"]
+)
+URI = st.tuples(URI_PREFIX, ESCAPED, st.sampled_from(["", ":", ":x"])).map("".join)
+SKOS_VOCAB = st.sampled_from(["a", "b", "é", "a:b", "", "\udcff"])
+SKOS_PREDICATE = st.sampled_from([f"{skos.SKOS_NS}{name}" for name in ("exactMatch", "broadMatch", "closeMatch")])
+
+
+@PROPERTY
+@given(SKOS_VOCAB, SKOS_VOCAB, st.lists(st.tuples(URI, SKOS_PREDICATE, URI), max_size=12))
+def test_skos_import_matches_a_line_by_line_read(source_vocab, target_vocab, triples):
+    text = "".join(f"<{s}> <{p}> <{o}> .\n" for s, p, o in triples)
+    fast, slow = CrosswalkStore(VocabularyRegistry()), CrosswalkStore(VocabularyRegistry())
+    try:
+        expected = line_by_line_skos_read(slow, text, source_vocab, target_vocab)
+    except InvalidMappingError as exc:
+        with pytest.raises(InvalidMappingError) as raised:
+            import_skos(fast, text, source_vocab, target_vocab)
+        assert str(raised.value) == str(exc)
+        return
+    report = import_skos(fast, text, source_vocab, target_vocab)
+    assert (report.mappings_added, report.errors, report.skipped_predicates) == expected
+    assert fast.export_tsv() == slow.export_tsv()
 
 
 REVERSE_VOCABS = ["a", "b", "a-b", "b-a"]

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from komohe import queries
 from komohe.errors import InvalidMappingError, QueryParseError
 from komohe.queries import (
     MAX_QUERY_DEPTH,
@@ -16,6 +18,7 @@ from komohe.queries import (
     parse_query,
     render_query,
 )
+from komohe.registry import normalize_term
 from komohe.store import RelationType, RelevanceRating
 
 
@@ -142,6 +145,27 @@ class TestExpansion:
         assert added.relation is RelationType.EQ
         assert added.rating is RelevanceRating.HIGH
         assert added.source_vocab == "A" and added.target_vocab == "B"
+
+    def test_added_leaves_are_not_normalized_again(self, sixrow, monkeypatch):
+        ast = parse_query("hacker")
+        combinations = [And((leaf("computers"), leaf("crime"))), And((leaf("internet"), leaf("security")))]
+        expected = Or((ast, leaf("hacking"), *combinations))
+        seen = []
+
+        def counting(raw):
+            seen.append(raw)
+            return normalize_term(raw)
+
+        monkeypatch.setattr(queries, "normalize_term", counting)
+        config = self.default(relations=frozenset({RelationType.EQ, RelationType.ASSOC}))
+        expanded, _ = expand_query(ast, sixrow.store, config)
+        assert expanded == expected
+        assert seen == []
+
+    def test_leaf_of_key_equals_the_checked_leaf(self):
+        # of_key sets each field by name: a new field must be added there too
+        assert [f.name for f in dataclasses.fields(Leaf)] == ["text"]
+        assert Leaf.of_key("internet security") == Leaf("internet security")
 
     def test_leaf_without_mappings_untouched(self, sixrow):
         ast = parse_query("security")

@@ -6,6 +6,7 @@ from urllib.parse import quote
 import pytest
 
 from komohe import skos
+from komohe.errors import InvalidMappingError
 from komohe.service import Dataset
 from komohe.skos import (
     SKOS_NS,
@@ -183,6 +184,41 @@ class TestImport:
         report = import_skos(data.store, io.StringIO(line + line), "a", "b")
         assert report.mappings_added == 1
         assert len(report.errors) == 1
+
+    @pytest.mark.parametrize(
+        "subject, accepted, reason",
+        [
+            # not how concept_uri spells `a`, but parse_concept_uri reads it as `a`
+            ("urn:kos:%61:q", True, None),
+            ("urn:kos:a:x:y", False, "URI vocabularies 'a:x'->'b' do not match requested crosswalk 'a'->'b'"),
+            ("urn:kos:a:", False, "malformed concept URI 'urn:kos:a:'"),
+            ("urn:kos:a::", False, "malformed concept URI 'urn:kos:a::'"),
+            ("urn:kos:a:x%3Ay%20%c3%a9%zz%", True, None),
+        ],
+    )
+    def test_uri_not_as_concept_uri_writes_it_reads_as_parse_concept_uri_reads_it(
+        self, subject, accepted, reason
+    ):
+        data = Dataset.empty()
+        text = f"<{subject}> <{SKOS_NS}exactMatch> <urn:kos:b:y> .\n"
+        report = import_skos(data.store, text, "a", "b")
+        assert report.errors == ([] if accepted else [(1, reason)])
+        if accepted:
+            (mapping,) = data.store.crosswalk("a-b").mappings
+            assert mapping.source.terms == (parse_concept_uri(subject)[1],)
+
+    def test_equal_vocabularies_are_rejected_before_any_line_is_read(self):
+        data = Dataset.empty()
+        read = []
+
+        def lines():
+            read.append(True)
+            yield f"<urn:kos:a:x> <{SKOS_NS}exactMatch> <urn:kos:a:y> .\n"
+
+        with pytest.raises(InvalidMappingError, match="crosswalk source and target must differ"):
+            import_skos(data.store, lines(), "a", "a")
+        assert read == []
+        assert data.registry.vocabularies() == [] and data.store.crosswalks() == []
 
     def test_comments_and_blanks_ignored(self):
         data = Dataset.empty()

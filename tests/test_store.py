@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from komohe import store as store_module
 from komohe.errors import (
     ConflictError,
     FormatError,
@@ -11,7 +12,7 @@ from komohe.errors import (
     KomoheError,
     NotFoundError,
 )
-from komohe.registry import Term, Vocabulary, VocabularyRegistry
+from komohe.registry import Term, Vocabulary, VocabularyRegistry, normalize_term
 from komohe.service import Dataset
 from komohe.store import (
     TSV_HEADER,
@@ -510,6 +511,28 @@ class TestLoadTermMemo:
         assert cw["a-b"][1].target.terms[1] is crime
         # the same string in another vocabulary is that vocabulary's own key
         assert cw["a-c"][0].target.terms[0] is registry.lookup_term("c", "crime").normalized
+
+    def test_a_key_the_registry_holds_is_not_normalized_again(self, monkeypatch):
+        registry = VocabularyRegistry()
+        for vocab_id, term in [("a", "Hacker News"), ("b", "Crime"), ("b", "computers")]:
+            if not registry.has_vocabulary(vocab_id):
+                registry.register_vocabulary(Vocabulary(vocab_id))
+            registry.add_term(vocab_id, term)
+        seen = []
+
+        def counting(raw):
+            seen.append(raw)
+            return normalize_term(raw)
+
+        monkeypatch.setattr(store_module, "normalize_term", counting)
+        report = CrosswalkStore(registry).import_tsv(
+            f"{TSV_HEADER}\n"
+            "a\thacker news\t=\tb\tcrime\t\n"
+            "a\thacker news\t^\tb\tcomputers + crime\t\n"
+            "a\tHacker News\t<\tb\tcrime\t\n"
+        )
+        assert not report.errors and report.mappings_added == 3
+        assert seen == ["Hacker News"]  # the one raw string that is no key
 
 
 class TestLoadConceptMemo:
