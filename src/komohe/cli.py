@@ -7,7 +7,9 @@ The working data lives in a directory (flag --data, else $KOMOHE_DATA,
 else ./komohe-data) laid out by komohe.dataset. run() loads it once per
 command and hands the dataset to the command's op; for a writing command it
 then saves it once, if the op added anything, and prints the op's summary
-only after the save succeeds.
+only after the save succeeds. A writing command holds the data directory's
+writer lock from before the load until after the save; while another writer
+holds it, the command fails at once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .assessment import load_corpus, sample_assessment
-from .dataset import Dataset, rejected_line, save_dataset, translate
+from .dataset import Dataset, rejected_line, save_dataset, translate, writer_lock
 from .errors import ConflictError, KomoheError
 from .inference import detect_variant_mappings, export_inferred_tsv, infer_pivot
 from .queries import ExpansionConfig, expand_query, parse_query, render_query
@@ -341,17 +343,19 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if args.func is cmd_serve:
             return cmd_serve(args)
-        dataset = load_dataset(args)
-        loaded = _sizes(dataset) if args.writes else None
-        summary = args.func(dataset, args)
-        if args.writes:
+        if not args.writes:
+            args.func(load_dataset(args), args)
+            return 0
+        with writer_lock(data_dir(args)):
+            dataset = load_dataset(args)
+            loaded = _sizes(dataset)
+            out, err = args.func(dataset, args)
             if _sizes(dataset) != loaded:  # a writer that added nothing leaves the files
                 save_dataset(dataset, data_dir(args))
-            out, err = summary
-            for line in out:
-                print(line)
-            for line in err:
-                print(line, file=sys.stderr)
+        for line in out:
+            print(line)
+        for line in err:
+            print(line, file=sys.stderr)
         return 0
     except (KomoheError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

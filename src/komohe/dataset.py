@@ -2,7 +2,8 @@
 
 A Dataset is built by one loader (Dataset.load, or a CLI command that then
 saves it) and only read afterwards: the HTTP service loads it once and
-serves it to concurrent readers, and a reload is a restart.
+serves it to concurrent readers, and a reload is a restart. A command that
+saves holds the data directory's writer lock from its load to its save.
 """
 
 from __future__ import annotations
@@ -11,17 +12,20 @@ import gc
 import logging
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 from urllib.parse import quote
 
-from .errors import NotFoundError
+from .errors import ConflictError, NotFoundError
 from .registry import VocabularyRegistry
 from .store import CrosswalkStore, RelationType, RelevanceRating, gc_paused
 
 logger = logging.getLogger(__name__)
 
 CROSSWALKS_FILE = "crosswalks.tsv"
+LOCK_FILE = ".komohe.lock"  # exists only while a writer holds it; Dataset.load never reads it
 LOGGED_ERRORS = 5  # rejected lines quoted in a file's load warning
 
 
@@ -125,6 +129,42 @@ def save_dataset(dataset: Dataset, directory: Path) -> None:
     fd = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(fd)  # makes the renames durable
+    finally:
+        os.close(fd)
+
+
+@contextmanager
+def writer_lock(directory: Path) -> Iterator[None]:
+    """Hold the data directory's writer lock, an exclusive flock on LOCK_FILE (POSIX only).
+
+    Fails at once with ConflictError when another writer holds it; nothing
+    waits. On exit the lock file is removed, and so is each directory this
+    call had to create that is still empty. A lock file its holder removed
+    after this call opened it is no lock, so finding that also fails.
+    """
+    import fcntl  # POSIX only, so only a writer needs it
+
+    created = [path for path in (directory, *directory.parents) if not path.exists()]
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / LOCK_FILE
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            held = os.path.samestat(os.fstat(fd), os.stat(path))
+        except (BlockingIOError, FileNotFoundError):
+            held = False
+        if not held:
+            raise ConflictError(f"data directory {str(directory)!r} is in use by another writer")
+        try:
+            yield
+        finally:
+            path.unlink(missing_ok=True)
+            for parent in created:  # innermost first
+                try:
+                    parent.rmdir()
+                except OSError:  # it holds the saved files
+                    break
     finally:
         os.close(fd)
 

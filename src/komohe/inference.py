@@ -9,7 +9,7 @@ returned, never written into the store.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import NotFoundError
 from .store import TSV_HEADER, Concept, CrosswalkStore, Mapping, RelationType, RelevanceRating
@@ -56,7 +56,22 @@ def combined_confidence(first: RelevanceRating, second: RelevanceRating) -> Rele
     return _DEMOTED[weaker]
 
 
-@dataclass(frozen=True)
+# The join's tables, built from the two rules above so those stay the only source:
+# relation pair -> (composed relation, its symbol), and rating pair -> (rank, confidence).
+_CHAINS = {
+    pair: (composed, composed.value)
+    for pair in product(RelationType, repeat=2)
+    for composed in (compose_relations(*pair),)
+    if composed is not None
+}
+_CONFIDENCES = {
+    pair: (confidence.rank, confidence)
+    for pair in product(RelevanceRating, repeat=2)
+    for confidence in (combined_confidence(*pair),)
+}
+
+
+@dataclass(frozen=True, slots=True)
 class InferredMapping:
     """A proposed mapping composed from two stored hops via a pivot vocabulary."""
 
@@ -77,9 +92,9 @@ def infer_pivot(
     """Compose source->pivot with pivot->target mappings.
 
     Both hops must have single-term targets; the pivot term must match
-    exactly. Results are deduplicated on (source, relation, target),
-    keeping the highest confidence, and sorted by source term, relation,
-    target. The source and target vocabularies must differ.
+    exactly. One result per (source, relation, target) keeps the highest
+    confidence (on a tie, the first chain in first-hop order), sorted by
+    source term, relation symbol, target. Source and target must differ.
     """
     check_crosswalk_ends(source_vocab, target_vocab)
     first_hop = store.find_crosswalk(source_vocab, pivot_vocab)
@@ -89,33 +104,27 @@ def infer_pivot(
     if second_hop is None:
         raise NotFoundError(f"no crosswalk {pivot_vocab!r} -> {target_vocab!r}")
 
-    # (source, relation symbol, target) -> (confidence, relation, m1, m2)
-    best: dict[tuple, tuple[RelevanceRating, RelationType, Mapping, Mapping]] = {}
+    # (source, relation symbol, target) -> (rank, confidence, relation, source, target)
+    best: dict[tuple[str, str, str], tuple] = {}
     for m1 in first_hop.mappings:
-        if m1.target is None or not m1.target.is_single:
+        pivot = m1.target
+        if pivot is None or len(pivot.terms) != 1:
             continue
-        for m2 in second_hop.by_source.get(m1.target.terms[0], ()):
-            if m2.target is None or not m2.target.is_single:
+        for m2 in second_hop.by_source.get(pivot.terms[0], ()):
+            chain = _CHAINS.get((m1.relation, m2.relation))  # None for a targetless null hop
+            target = m2.target
+            if chain is None or len(target.terms) != 1:
                 continue
-            relation = compose_relations(m1.relation, m2.relation)
-            if relation is None:
-                continue
-            confidence = combined_confidence(m1.rating, m2.rating)
-            key = (m1.source.terms, relation.value, m2.target.terms)
+            rank, confidence = _CONFIDENCES[m1.rating, m2.rating]
+            key = (m1.source.terms[0], chain[1], target.terms[0])
             current = best.get(key)
-            if current is None or confidence.rank > current[0].rank:
-                best[key] = (confidence, relation, m1, m2)
+            if current is None or rank > current[0]:
+                best[key] = (rank, confidence, chain[0], m1.source, target)
 
     # the keys are unique, so sorting the items never compares their values
     return [
-        InferredMapping(
-            source=m1.source,
-            target=m2.target,
-            relation=relation,
-            confidence=confidence,
-            pivot_vocab=pivot_vocab,
-        )
-        for _, (confidence, relation, m1, m2) in sorted(best.items())
+        InferredMapping(source, target, relation, confidence, pivot_vocab)
+        for _, (_, confidence, relation, source, target) in sorted(best.items())
     ]
 
 

@@ -83,6 +83,9 @@ class RelationType(Enum):
     ASSOC = "^"
     NULL = "0"
 
+    # a member is a singleton and equality is identity, so hash the identity
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, symbol: str) -> "RelationType":
         relation = _RELATIONS.get(symbol)
@@ -98,6 +101,8 @@ class RelevanceRating(Enum):
     MEDIUM = "medium"
     LOW = "low"
     UNRATED = ""
+
+    __hash__ = object.__hash__  # as RelationType's
 
     @property
     def rank(self) -> int:

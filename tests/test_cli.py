@@ -1,3 +1,4 @@
+import fcntl
 import json
 import logging
 import os
@@ -638,3 +639,69 @@ class TestRunner:
         assert cli.run(["--data", "fresh", "import", "empty.tsv"]) == 0
         assert capsys.readouterr().out == "crosswalks_created\t0\nmappings_added\t0\nerrors\t0\n"
         assert not Path("fresh").exists()
+
+
+class TestOneWriter:
+    """A writing command holds the data dir's writer lock from its load to its
+    save; a second writer fails at once with one error line and changes nothing."""
+
+    LOCK_FILE = ".komohe.lock"  # the name README gives
+    ROWS = {"modem": "A\tmodem\t=\tB\tnetworks\thigh", "router": "A\trouter\t=\tB\tnetworks\tlow"}
+    # `komohe` whose save waits a second first, so two writers started together overlap
+    SLOW_WRITER = (
+        "import sys, time\n"
+        "from komohe import cli\n"
+        "save = cli.save_dataset\n"
+        "cli.save_dataset = lambda dataset, directory: time.sleep(1.0) or save(dataset, directory)\n"
+        "sys.exit(cli.run(sys.argv[1:]))\n"
+    )
+
+    def row_file(self, tmp_path, term):
+        tsv = tmp_path / f"{term}.tsv"
+        tsv.write_text(f"#komohe-tsv v1\n{self.ROWS[term]}\n", encoding="utf-8")
+        return tsv
+
+    def test_a_held_lock_fails_the_writer_and_leaves_the_files(self, loaded, tmp_path, capsys):
+        before = {path.name: path.read_bytes() for path in loaded.iterdir()}
+        with open(loaded / self.LOCK_FILE, "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert run(loaded, "import", str(self.row_file(tmp_path, "modem"))) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: data directory .* is in use by another writer\n", captured.err)
+        after = {path.name: path.read_bytes() for path in loaded.iterdir()}
+        assert after.pop(self.LOCK_FILE) == b""  # the holder's lock file is left to the holder
+        assert after == before
+
+    def test_two_writer_processes_lose_no_row(self, loaded, tmp_path):
+        src = str(Path(komohe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-c", self.SLOW_WRITER, "--data", str(loaded), "import"]
+        procs = {
+            term: subprocess.Popen(
+                [*argv, str(self.row_file(tmp_path, term))],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+            for term in self.ROWS
+        }
+        try:
+            results = {term: (*proc.communicate(timeout=60), proc.returncode) for term, proc in procs.items()}
+        finally:
+            for proc in procs.values():
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        saved = (loaded / "crosswalks.tsv").read_text(encoding="utf-8").splitlines()
+        for term, (out, err, code) in results.items():
+            if code == 0:
+                assert "mappings_added\t1" in out.splitlines()
+                assert self.ROWS[term] in saved
+            else:
+                assert (code, out) == (1, ""), err
+                assert re.fullmatch(r"error: data directory .* is in use by another writer\n", err)
+                assert self.ROWS[term] not in saved
+        assert 0 in {code for _, _, code in results.values()}
+        assert not (loaded / self.LOCK_FILE).exists()

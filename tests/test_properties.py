@@ -2,7 +2,8 @@
 included), normalization, the shared line reader, the TSV load against a
 row-by-row oracle, SKOS URI quoting against urllib and the SKOS import
 against a line-by-line oracle, the query tokenizer against a character-loop
-oracle, and the /expand route on fuzzed queries."""
+oracle, the /expand route on fuzzed queries, and pivot inference against a
+brute-force join."""
 
 import tempfile
 from pathlib import Path
@@ -11,7 +12,7 @@ from urllib.parse import quote, unquote
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from komohe import skos
@@ -24,6 +25,7 @@ from komohe.errors import (
     KomoheError,
     QueryParseError,
 )
+from komohe.inference import infer_pivot
 from komohe.queries import _tokenize
 from komohe.registry import (
     ISO_639_1,
@@ -46,6 +48,7 @@ from komohe.store import (
 from conftest import SIXROW_TSV
 from oracles import (
     brute_force_from,
+    brute_force_pivot,
     brute_force_reverse,
     line_by_line_skos_read,
     oracle_tokenize,
@@ -516,3 +519,50 @@ def test_tokenizer_matches_the_character_loop(text):
         assert (str(raised.value), raised.value.position) == (str(exc), exc.position)
         return
     assert [(t.kind, t.value, t.position) for t in _tokenize(text)] == expected
+
+
+def hop_rows(sources: list[str], targets: list[str]):
+    """One crosswalk's distinct rows as (source, relation, target members, rating):
+    null rows, single and two-member targets, and unrated rows among them."""
+    positive = st.tuples(
+        st.sampled_from(sources),
+        st.sampled_from("=<>^"),
+        st.lists(st.sampled_from(targets), min_size=1, max_size=2, unique=True),
+        st.sampled_from(["high", "medium", "low", ""]),
+    )
+    null = st.tuples(st.sampled_from(sources), st.just("0"), st.just([]), st.just(""))
+    return st.lists(
+        st.one_of(positive, null), min_size=1, max_size=25, unique_by=lambda r: (r[0], r[1], tuple(r[2]))
+    )
+
+
+# a3 -> (b0 or b1) -> c0 twice at different ratings; b3 is never a second-hop source
+PIVOT_EXAMPLE = (
+    [("a3", "=", ["b0"], "high"), ("a3", "=", ["b1"], "low"), ("a0", "<", ["b3"], "high"),
+     ("a1", "0", [], ""), ("a2", "=", ["b0", "b1"], "high"), ("a1", "^", ["b1"], "")],
+    [("b0", "=", ["c0"], "high"), ("b1", "=", ["c0"], "high"), ("b1", "<", ["c1", "c2"], "medium"),
+     ("b2", "0", [], ""), ("b0", "^", ["c2"], "")],
+)  # fmt: skip
+
+
+@PROPERTY
+@given(
+    hop_rows(["a0", "a1", "a2", "a3"], ["b0", "b1", "b2", "b3"]),
+    hop_rows(["b0", "b1", "b2"], ["c0", "c1", "c2"]),
+)
+@example(*PIVOT_EXAMPLE)
+def test_infer_pivot_matches_a_brute_force_join(first_rows, second_rows):
+    lines = ["#komohe-tsv v1"]
+    for (source_vocab, target_vocab), rows in ((("a", "b"), first_rows), (("b", "c"), second_rows)):
+        for source, relation, members, rating in rows:
+            target = COMBINATION_JOIN.join(members)
+            lines.append("\t".join((source_vocab, source, relation, target_vocab, target, rating)))
+    store = Dataset.empty().store
+    assert not store.import_tsv("\n".join(lines) + "\n").errors
+    inferred = infer_pivot(store, "a", "c", "b")
+    keys = [(m.source.terms[0], m.relation.value, m.target.terms[0]) for m in inferred]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)  # one row per (source, relation, target)
+    got = {(m.source.terms, m.relation.value, m.target.terms, m.confidence) for m in inferred}
+    assert got == brute_force_pivot(store, "a", "c", "b")
+    assert {m.pivot_vocab for m in inferred} <= {"b"}
