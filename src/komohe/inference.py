@@ -71,7 +71,7 @@ _CONFIDENCES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class InferredMapping:
     """A proposed mapping composed from two stored hops via a pivot vocabulary."""
 
@@ -106,25 +106,31 @@ def infer_pivot(
 
     # (source, relation symbol, target) -> (rank, confidence, relation, source, target)
     best: dict[tuple[str, str, str], tuple] = {}
+    best_get, chains_get, second_rows = best.get, _CHAINS.get, second_hop.by_source.get
     for m1 in first_hop.mappings:
         pivot = m1.target
         if pivot is None or len(pivot.terms) != 1:
             continue
-        for m2 in second_hop.by_source.get(pivot.terms[0], ()):
-            chain = _CHAINS.get((m1.relation, m2.relation))  # None for a targetless null hop
+        rows = second_rows(pivot.terms[0])
+        if rows is None:  # most pivot terms start no second-hop row
+            continue
+        relation, rating, source = m1.relation, m1.rating, m1.source
+        source_key = source.terms[0]
+        for m2 in rows:
+            chain = chains_get((relation, m2.relation))  # None for a targetless null hop
             target = m2.target
             if chain is None or len(target.terms) != 1:
                 continue
-            rank, confidence = _CONFIDENCES[m1.rating, m2.rating]
-            key = (m1.source.terms[0], chain[1], target.terms[0])
-            current = best.get(key)
+            rank, confidence = _CONFIDENCES[rating, m2.rating]
+            key = (source_key, chain[1], target.terms[0])
+            current = best_get(key)
             if current is None or rank > current[0]:
-                best[key] = (rank, confidence, chain[0], m1.source, target)
+                best[key] = (rank, confidence, chain[0], source, target)
 
-    # the keys are unique, so sorting the items never compares their values
+    # the keys are unique, so they alone fix the order
     return [
         InferredMapping(source, target, relation, confidence, pivot_vocab)
-        for _, (_, confidence, relation, source, target) in sorted(best.items())
+        for _, confidence, relation, source, target in map(best.__getitem__, sorted(best))
     ]
 
 
@@ -140,7 +146,7 @@ def export_inferred_tsv(
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VariantConflict:
     """The same term in two vocabularies maps to different targets in a third."""
 
@@ -162,11 +168,18 @@ def detect_variant_mappings(store: CrosswalkStore, target_vocab: str) -> list[Va
     for crosswalk in store.crosswalks():
         if crosswalk.target_vocab != target_vocab:
             continue
+        source_vocab = crosswalk.source_vocab
         for mapping in crosswalk.mappings:
-            if mapping.relation is not RelationType.EQ or mapping.target is None:
+            if mapping.relation is not _EQ:  # an EQ mapping always has a target
                 continue
-            per_vocab = targets_by_term.setdefault(mapping.source.terms[0], {})
-            per_vocab.setdefault(crosswalk.source_vocab, []).append(mapping.target)
+            term = mapping.source.terms[0]
+            per_vocab = targets_by_term.get(term)
+            if per_vocab is None:
+                targets_by_term[term] = {source_vocab: [mapping.target]}
+            elif (targets := per_vocab.get(source_vocab)) is None:
+                per_vocab[source_vocab] = [mapping.target]
+            else:
+                targets.append(mapping.target)
 
     conflicts: list[VariantConflict] = []
     for term in sorted(targets_by_term):
@@ -176,14 +189,10 @@ def detect_variant_mappings(store: CrosswalkStore, target_vocab: str) -> list[Va
         for vocab_a, vocab_b in combinations(sorted(per_vocab), 2):
             for target_a in per_vocab[vocab_a]:
                 for target_b in per_vocab[vocab_b]:
-                    if target_a == target_b:
+                    # a load shares one Concept per single-term target: equal ones are one object
+                    if target_a is target_b or target_a == target_b:
                         continue
                     conflicts.append(
-                        VariantConflict(
-                            term=term,
-                            vocab_pair=(vocab_a, vocab_b),
-                            target_vocab=target_vocab,
-                            targets=(target_a, target_b),
-                        )
+                        VariantConflict(term, (vocab_a, vocab_b), target_vocab, (target_a, target_b))
                     )
     return conflicts

@@ -186,7 +186,8 @@ class VocabularyRegistry:
 
     def term(self, vocab_id: str, normalized: str) -> Term | None:
         """The term stored under a normalized key; None also for an unknown vocabulary."""
-        return self._terms.get(vocab_id, {}).get(normalized)
+        terms = self._terms.get(vocab_id)
+        return None if terms is None else terms.get(normalized)
 
     def terms(self, vocab_id: str) -> list[Term]:
         """All terms of a vocabulary, sorted by normalized key."""

@@ -112,8 +112,12 @@ def _parse_rating(text: str) -> RelevanceRating:
     return rating
 
 
-def _rating_json(rating: RelevanceRating) -> str | None:
-    return None if rating is RelevanceRating.UNRATED else rating.value
+# enum member -> its JSON value, built from the enums so they stay the only source;
+# a table lookup skips the enum's `.value` descriptor on every result row
+_RELATION_JSON = {relation: relation.value for relation in RelationType}
+_RATING_JSON = {
+    rating: None if rating is RelevanceRating.UNRATED else rating.value for rating in RelevanceRating
+}
 
 
 class KomoheRequestHandler(BaseHTTPRequestHandler):
@@ -216,10 +220,10 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
         )
         mappings = [
             {
-                "relation": m.relation.value,
+                "relation": _RELATION_JSON[m.relation],
                 "target_vocab": cw.target_vocab if m.target else None,
                 "target_terms": list(m.target.terms) if m.target else [],
-                "rating": _rating_json(m.rating),
+                "rating": _RATING_JSON[m.rating],
             }
             for cw, m in results
         ]
@@ -261,8 +265,8 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
                             "term": a.term,
                             "source_vocab": a.source_vocab,
                             "target_vocab": a.target_vocab,
-                            "relation": a.relation.value,
-                            "rating": _rating_json(a.rating),
+                            "relation": _RELATION_JSON[a.relation],
+                            "rating": _RATING_JSON[a.rating],
                         }
                         for a in entry.additions
                     ],
@@ -284,7 +288,7 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
         return {
             "v": 1,
             "candidates": [
-                {"term": c.term, "vocab": c.vocab, "rating": _rating_json(c.rating)}
+                {"term": c.term, "vocab": c.vocab, "rating": _RATING_JSON[c.rating]}
                 for c in candidates
             ],
         }, 200

@@ -467,7 +467,8 @@ class CrosswalkStore:
 
         Ordered by crosswalk id, then insertion order within a crosswalk.
         """
-        normalized = normalize_term(term)
+        # a stored key is its own normal form, so only a string that is no key is normalized
+        normalized = term if term in self._by_source else normalize_term(term)
         # UNRATED ranks 0, so a floor of at least 1 fails it at every explicit threshold
         floor = None if min_rating is None else max(min_rating.rank, 1)
         results: list[tuple[Crosswalk, Mapping]] = []

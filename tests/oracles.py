@@ -143,6 +143,40 @@ def brute_force_pivot(store, source_vocab: str, target_vocab: str, pivot_vocab: 
 
 
 # ----------------------------------------------------------------------
+# Brute-force variant audit. Collects every equivalence row into the target
+# vocabulary from the raw mapping lists, then for each term and each pair of
+# source vocabularies (in sorted order) pairs every target of the first with
+# every target of the second, in mapping order, keeping the pairs whose
+# member terms differ.
+
+
+def brute_force_variants(crosswalks, target_vocab: str):
+    """(term, (vocab_a, vocab_b), (target_a, target_b)) rows ordered by term,
+    then vocabulary pair, then each target's position in its crosswalk."""
+    eq_rows = [
+        (cw.source_vocab, m.source.terms[0], m.target)
+        for cw in crosswalks
+        if cw.target_vocab == target_vocab
+        for m in cw.mappings
+        if m.relation is RelationType.EQ
+    ]
+    vocabs = sorted({vocab for vocab, _, _ in eq_rows})
+    rows = []
+    for term in sorted({term for _, term, _ in eq_rows}):
+        for i, vocab_a in enumerate(vocabs):
+            for vocab_b in vocabs[i + 1 :]:
+                for source_a, term_a, target_a in eq_rows:
+                    if (source_a, term_a) != (vocab_a, term):
+                        continue
+                    for source_b, term_b, target_b in eq_rows:
+                        if (source_b, term_b) != (vocab_b, term):
+                            continue
+                        if target_a.terms != target_b.terms:
+                            rows.append((term, (vocab_a, vocab_b), (target_a, target_b)))
+    return rows
+
+
+# ----------------------------------------------------------------------
 # Brute-force translation. Walks every crosswalk's raw mapping list for
 # single-target equivalences of the (normalized) term between vocabularies
 # of the requested languages. Per (target vocabulary, target term) the best

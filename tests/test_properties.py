@@ -2,8 +2,8 @@
 included), normalization, the shared line reader, the TSV load against a
 row-by-row oracle, SKOS URI quoting against urllib and the SKOS import
 against a line-by-line oracle, the query tokenizer against a character-loop
-oracle, the /expand route on fuzzed queries, and pivot inference against a
-brute-force join."""
+oracle, the /expand route on fuzzed queries, pivot inference against a
+brute-force join, and the variant audit against a brute-force audit."""
 
 import tempfile
 from pathlib import Path
@@ -25,7 +25,7 @@ from komohe.errors import (
     KomoheError,
     QueryParseError,
 )
-from komohe.inference import infer_pivot
+from komohe.inference import detect_variant_mappings, infer_pivot
 from komohe.queries import _tokenize
 from komohe.registry import (
     ISO_639_1,
@@ -50,6 +50,7 @@ from oracles import (
     brute_force_from,
     brute_force_pivot,
     brute_force_reverse,
+    brute_force_variants,
     line_by_line_skos_read,
     oracle_tokenize,
     row_by_row_load,
@@ -566,3 +567,63 @@ def test_infer_pivot_matches_a_brute_force_join(first_rows, second_rows):
     got = {(m.source.terms, m.relation.value, m.target.terms, m.confidence) for m in inferred}
     assert got == brute_force_pivot(store, "a", "c", "b")
     assert {m.pivot_vocab for m in inferred} <= {"b"}
+
+
+# "v0-a-t" sorts before "v0-t", so crosswalk id order is not source vocabulary order
+VARIANT_SOURCES = ["v1", "v0", "v0-a"]
+VARIANT_TERMS = ["q", "p"]  # few terms and targets, so equal targets are common
+VARIANT_ROWS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(VARIANT_SOURCES),
+            st.sampled_from(VARIANT_TERMS),
+            st.sampled_from(["=", "=", "<", ">", "^"]),
+            st.sampled_from(["t", "t", "u"]),  # rows into u must be left out
+            st.lists(st.sampled_from(["x", "y"]), min_size=1, max_size=2, unique=True),
+            st.sampled_from(["high", "low", ""]),
+        ),
+        st.tuples(
+            st.sampled_from(VARIANT_SOURCES),
+            st.sampled_from(VARIANT_TERMS),
+            st.just("0"),
+            st.sampled_from(["t", "u"]),
+            st.just([]),
+            st.just(""),
+        ),
+    ),
+    max_size=30,
+    unique_by=lambda r: (r[0], r[1], r[2], r[3], tuple(r[4])),
+)
+
+# terms drawn out of sorted order; q's targets agree as one shared Concept (v0, v1: x),
+# as equal combinations (v0-a, v1: x + y), and across two loads (v0-a: x, loaded second)
+VARIANT_EXAMPLE = (
+    [("v1", "q", "=", "t", ["x"], "high"), ("v0", "q", "=", "t", ["x"], ""),
+     ("v1", "q", "=", "t", ["x", "y"], "low"), ("v0-a", "q", "=", "t", ["x", "y"], "high"),
+     ("v0", "p", "=", "t", ["y"], "high"), ("v1", "p", "=", "t", ["x"], "high"),
+     ("v0-a", "p", "^", "t", ["y"], "high"), ("v0-a", "p", "0", "t", [], ""),
+     ("v0-a", "q", "=", "t", ["x"], "low"), ("v0", "p", "=", "u", ["x"], "high")],
+    8,
+)  # fmt: skip
+
+
+@PROPERTY
+@given(VARIANT_ROWS, st.integers(min_value=0, max_value=30))
+@example(*VARIANT_EXAMPLE)
+def test_detect_variant_mappings_matches_a_brute_force_audit(rows, split):
+    # two loads: a later load builds its own Concept for a term, so equal
+    # targets come as one object, as two objects of one load (combinations)
+    # and as objects of different loads
+    store = Dataset.empty().store
+    for part in (rows[:split], rows[split:]):
+        lines = ["#komohe-tsv v1"]
+        lines += [
+            "\t".join((sv, source, relation, tv, COMBINATION_JOIN.join(members), rating))
+            for sv, source, relation, tv, members, rating in part
+        ]
+        assert not store.import_tsv("\n".join(lines) + "\n").errors
+    for target_vocab in ("t", "u"):
+        conflicts = detect_variant_mappings(store, target_vocab)
+        assert {c.target_vocab for c in conflicts} <= {target_vocab}
+        got = [(c.term, c.vocab_pair, c.targets) for c in conflicts]
+        assert got == brute_force_variants(store.crosswalks(), target_vocab)

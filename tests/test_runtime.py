@@ -115,6 +115,21 @@ def test_every_public_name_is_used_or_exported():
     assert unused == []
 
 
+# records built once per stored row or term, or once per result a call returns
+PER_ROW_RECORDS = ["Concept", "Mapping", "Term", "InferredMapping", "VariantConflict"]
+
+
+def test_records_built_per_row_or_result_define_slots():
+    # a slotted record carries no per-instance __dict__; every class in its MRO
+    # below object must define __slots__, or instances get a __dict__ anyway
+    import komohe
+
+    for name in PER_ROW_RECORDS:
+        record = getattr(komohe, name)
+        unslotted = [k.__name__ for k in record.__mro__[:-1] if "__slots__" not in vars(k)]
+        assert unslotted == [], name
+
+
 def test_the_benchmark_tracer_wraps_komohe_and_restores_it():
     # loaded by path: as a top-level `trace` it would shadow the stdlib module
     path = PACKAGE.parents[1] / "perfbench" / "trace.py"

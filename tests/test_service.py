@@ -346,6 +346,23 @@ def base_url():
     yield from _serve(dataset)
 
 
+class TestJsonTables:
+    """The bodies' enum tables restate each member's value, so they must agree on every member."""
+
+    def test_relations_match_their_symbols_on_all_5_members(self):
+        assert len(RelationType) == 5
+        for relation in RelationType:
+            assert service._RELATION_JSON[relation] == relation.value, relation
+        assert len(service._RELATION_JSON) == 5
+
+    def test_ratings_match_their_values_and_unrated_is_null_on_all_4_members(self):
+        assert len(RelevanceRating) == 4
+        for rating in RelevanceRating:
+            expected = None if rating is RelevanceRating.UNRATED else rating.value
+            assert service._RATING_JSON[rating] == expected, rating
+        assert len(service._RATING_JSON) == 4
+
+
 class TestEndpoints:
     def test_vocabularies(self, base_url):
         status, body = get(base_url, "/vocabularies")

@@ -227,6 +227,32 @@ class TestAddAndQuery:
         assert none == []
         assert store.mappings_from("HACKER  ") == all_rows  # query normalized
 
+    def test_a_stored_key_is_not_normalized_again(self, sixrow, monkeypatch):
+        seen = []
+
+        def counting(raw):
+            seen.append(raw)
+            return normalize_term(raw)
+
+        monkeypatch.setattr(store_module, "normalize_term", counting)
+        store = sixrow.store
+        rows = store.mappings_from("hacker")
+        assert [m.label for _, m in rows] == [
+            "hacker = hacking",
+            "hacker ^ computers + crime",
+            "hacker ^ internet + security",
+        ]
+        assert store.mappings_from("isdn device", relations={RelationType.NULL})
+        assert seen == []  # a stored key is its own normal form
+        # a case or space variant is normalized once and finds the same rows
+        assert store.mappings_from(" Hacker") == rows
+        assert store.mappings_from("HACKER") == rows
+        assert store.mappings_from("isdn  DEVICE") == store.mappings_from("isdn device")
+        assert seen == [" Hacker", "HACKER", "isdn  DEVICE"]
+        # a string that is no key anywhere is normalized and finds nothing
+        assert store.mappings_from("Unknown") == []
+        assert seen[-1] == "Unknown"
+
     def test_min_rating_excludes_unrated(self, sixrow):
         rows = sixrow.store.mappings_from("isdn device", min_rating=RelevanceRating.LOW)
         assert rows == []
