@@ -44,7 +44,9 @@ class Corpus:
     def count_with_all(self, vocab: str, terms: tuple[str, ...]) -> int:
         """Documents carrying every term (smallest postings first); no terms: all."""
         by_term = self.postings.get(vocab, {})
-        postings = sorted((by_term.get(normalize_term(t), ()) for t in terms), key=len)
+        # a stored key is its own normal form, so only a term that is no key is normalized
+        keys = (t if t in by_term else normalize_term(t) for t in terms)
+        postings = sorted((by_term.get(key, ()) for key in keys), key=len)
         if len(postings) < 2:
             return len(postings[0]) if postings else len(self)
         return len(set(postings[0]).intersection(*postings[1:]))

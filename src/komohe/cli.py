@@ -135,7 +135,7 @@ def cmd_expand(dataset: Dataset, args: argparse.Namespace) -> None:
             print(
                 f"+ {entry.original!r} <- {added.term!r} "
                 f"({added.source_vocab}->{added.target_vocab}, "
-                f"{added.relation.value}, {added.rating.value or 'unrated'})",
+                f"{added.relation.symbol}, {added.rating.text or 'unrated'})",
                 file=sys.stderr,
             )
 
@@ -143,7 +143,7 @@ def cmd_expand(dataset: Dataset, args: argparse.Namespace) -> None:
 def cmd_translate(dataset: Dataset, args: argparse.Namespace) -> None:
     candidates = translate(dataset, args.term, args.to, source_lang=getattr(args, "from"))
     for c in candidates:
-        print("\t".join((c.term, c.vocab, c.rating.value, c.path)))
+        print("\t".join((c.term, c.vocab, c.rating.text, c.path)))
 
 
 def cmd_infer(dataset: Dataset, args: argparse.Namespace) -> Summary | None:
@@ -203,7 +203,8 @@ def cmd_skos_import(dataset: Dataset, args: argparse.Namespace) -> Summary:
 
 
 def cmd_stats(dataset: Dataset, args: argparse.Namespace) -> None:
-    print("#crosswalk\tmappings\t=\t<\t>\t^\t0\thigh\tmedium\tlow\tunrated")
+    columns = [*(r.symbol for r in RelationType), *(r.text or "unrated" for r in RelevanceRating)]
+    print("\t".join(["#crosswalk", "mappings", *columns]))
     for crosswalk_id, stats in dataset.store.stats().items():
         counts = [stats.mapping_count, *(stats.relations[r] for r in RelationType)]
         counts += [stats.ratings[r] for r in RelevanceRating]
@@ -263,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("term")
     p.add_argument("--vocab", help="restrict to one source vocabulary")
     p.add_argument("--relation", help="comma-separated relation symbols, e.g. =,^")
-    p.add_argument("--min-rating", dest="min_rating", choices=["high", "medium", "low"])
+    ratings = [r.text for r in RelevanceRating if r.text]
+    p.add_argument("--min-rating", dest="min_rating", choices=ratings)
     p.set_defaults(func=cmd_lookup)
 
     p = sub.add_parser("reverse", help="mappings whose target contains the given term")

@@ -56,19 +56,8 @@ def combined_confidence(first: RelevanceRating, second: RelevanceRating) -> Rele
     return _DEMOTED[weaker]
 
 
-# The join's tables, built from the two rules above so those stay the only source:
-# relation pair -> (composed relation, its symbol), and rating pair -> (rank, confidence).
-_CHAINS = {
-    pair: (composed, composed.value)
-    for pair in product(RelationType, repeat=2)
-    for composed in (compose_relations(*pair),)
-    if composed is not None
-}
-_CONFIDENCES = {
-    pair: (confidence.rank, confidence)
-    for pair in product(RelevanceRating, repeat=2)
-    for confidence in (combined_confidence(*pair),)
-}
+# rating pair -> confidence, built from the rule above so it stays the only source
+_CONFIDENCES = {pair: combined_confidence(*pair) for pair in product(RelevanceRating, repeat=2)}
 
 
 @dataclass(slots=True)
@@ -104,9 +93,9 @@ def infer_pivot(
     if second_hop is None:
         raise NotFoundError(f"no crosswalk {pivot_vocab!r} -> {target_vocab!r}")
 
-    # (source, relation symbol, target) -> (rank, confidence, relation, source, target)
+    # (source, relation symbol, target) -> (confidence, relation, source, target)
     best: dict[tuple[str, str, str], tuple] = {}
-    best_get, chains_get, second_rows = best.get, _CHAINS.get, second_hop.by_source.get
+    best_get, compose, second_rows = best.get, COMPOSITION.get, second_hop.by_source.get
     for m1 in first_hop.mappings:
         pivot = m1.target
         if pivot is None or len(pivot.terms) != 1:
@@ -117,20 +106,20 @@ def infer_pivot(
         relation, rating, source = m1.relation, m1.rating, m1.source
         source_key = source.terms[0]
         for m2 in rows:
-            chain = chains_get((relation, m2.relation))  # None for a targetless null hop
+            composed = compose((relation, m2.relation))  # None for a targetless null hop
             target = m2.target
-            if chain is None or len(target.terms) != 1:
+            if composed is None or len(target.terms) != 1:
                 continue
-            rank, confidence = _CONFIDENCES[rating, m2.rating]
-            key = (source_key, chain[1], target.terms[0])
+            confidence = _CONFIDENCES[rating, m2.rating]
+            key = (source_key, composed.symbol, target.terms[0])
             current = best_get(key)
-            if current is None or rank > current[0]:
-                best[key] = (rank, confidence, chain[0], source, target)
+            if current is None or confidence.rank > current[0].rank:
+                best[key] = (confidence, composed, source, target)
 
     # the keys are unique, so they alone fix the order
     return [
         InferredMapping(source, target, relation, confidence, pivot_vocab)
-        for _, confidence, relation, source, target in map(best.__getitem__, sorted(best))
+        for confidence, relation, source, target in map(best.__getitem__, sorted(best))
     ]
 
 

@@ -182,7 +182,9 @@ class VocabularyRegistry:
     def lookup_term(self, vocab_id: str, raw: str) -> Term | None:
         """Find a term by any orthographic variant of its normalized form."""
         self.vocabulary(vocab_id)
-        return self._terms[vocab_id].get(normalize_term(raw))
+        terms = self._terms[vocab_id]
+        # a stored key is its own normal form, so only a string that is no key is normalized
+        return terms[raw] if raw in terms else terms.get(normalize_term(raw))
 
     def term(self, vocab_id: str, normalized: str) -> Term | None:
         """The term stored under a normalized key; None also for an unknown vocabulary."""

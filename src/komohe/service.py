@@ -112,14 +112,6 @@ def _parse_rating(text: str) -> RelevanceRating:
     return rating
 
 
-# enum member -> its JSON value, built from the enums so they stay the only source;
-# a table lookup skips the enum's `.value` descriptor on every result row
-_RELATION_JSON = {relation: relation.value for relation in RelationType}
-_RATING_JSON = {
-    rating: None if rating is RelevanceRating.UNRATED else rating.value for rating in RelevanceRating
-}
-
-
 class KomoheRequestHandler(BaseHTTPRequestHandler):
     """Routes GET requests onto the module operations; never raises."""
 
@@ -207,12 +199,13 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
     def handle_mappings(
         self, vocab_id: str, term: str, params: dict[str, list[str]]
     ) -> tuple[dict, int]:
-        if self.dataset.registry.lookup_term(vocab_id, term) is None:  # 404s an unknown vocabulary
+        found = self.dataset.registry.lookup_term(vocab_id, term)  # 404s an unknown vocabulary
+        if found is None:
             raise NotFoundError(f"term {term!r} not found in {vocab_id!r}")
         relation, min_rating = _param(params, "relation"), _param(params, "min_rating")
         target = _param(params, "target")
         results = self.dataset.store.mappings_from(
-            term,
+            found.normalized,  # a key, so it is not normalized again
             source_vocab=vocab_id,
             relations=_parse_relations(relation) if relation else None,
             min_rating=_parse_rating(min_rating) if min_rating else None,
@@ -220,10 +213,10 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
         )
         mappings = [
             {
-                "relation": _RELATION_JSON[m.relation],
+                "relation": m.relation.symbol,
                 "target_vocab": cw.target_vocab if m.target else None,
                 "target_terms": list(m.target.terms) if m.target else [],
-                "rating": _RATING_JSON[m.rating],
+                "rating": m.rating.text or None,
             }
             for cw, m in results
         ]
@@ -265,8 +258,8 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
                             "term": a.term,
                             "source_vocab": a.source_vocab,
                             "target_vocab": a.target_vocab,
-                            "relation": _RELATION_JSON[a.relation],
-                            "rating": _RATING_JSON[a.rating],
+                            "relation": a.relation.symbol,
+                            "rating": a.rating.text or None,
                         }
                         for a in entry.additions
                     ],
@@ -288,7 +281,7 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
         return {
             "v": 1,
             "candidates": [
-                {"term": c.term, "vocab": c.vocab, "rating": _RATING_JSON[c.rating]}
+                {"term": c.term, "vocab": c.vocab, "rating": c.rating.text or None}
                 for c in candidates
             ],
         }, 200

@@ -14,11 +14,11 @@ TSV format (UTF-8, LF):
 Relation symbols: = (equivalence), < (target is broader), > (target is
 narrower), ^ (association), 0 (no counterpart exists). Combination targets
 join their member terms with " + ", so a target whose terms would not split
-back the same way is an invalid mapping. target_terms and rating are empty
-for relation 0; lines starting with `#` are ignored. On export, null rows
-keep the target vocabulary in column 4 so every line is attributable to its
-crosswalk; on import an empty column 4 on a null row falls back to the last
-target vocabulary named for that source vocabulary.
+back the same way is an invalid mapping. target_terms is empty for relation
+0, but its rating column is kept; lines starting with `#` are ignored. On
+export, null rows keep the target vocabulary in column 4 so every line is
+attributable to its crosswalk; on import an empty column 4 on a null row
+falls back to the last target vocabulary named for that source vocabulary.
 
 One loader builds the store; once loading has finished, any number of
 threads may read it, and nothing writes it again, so it needs no lock.
@@ -86,6 +86,10 @@ class RelationType(Enum):
     # a member is a singleton and equality is identity, so hash the identity
     __hash__ = object.__hash__
 
+    def __init__(self, symbol: str) -> None:
+        # a plain attribute reads faster than the enum's `.value` descriptor
+        self.symbol = symbol
+
     @classmethod
     def parse(cls, symbol: str) -> "RelationType":
         relation = _RELATIONS.get(symbol)
@@ -95,18 +99,21 @@ class RelationType(Enum):
 
 
 class RelevanceRating(Enum):
-    """Per-mapping quality tag; HIGH > MEDIUM > LOW, UNRATED sits outside the order."""
+    """Per-mapping quality tag; HIGH > MEDIUM > LOW, UNRATED (rank 0) sits outside the order."""
 
-    HIGH = "high"
-    MEDIUM = "medium"
-    LOW = "low"
-    UNRATED = ""
+    HIGH = "high", 3
+    MEDIUM = "medium", 2
+    LOW = "low", 1
+    UNRATED = "", 0
 
     __hash__ = object.__hash__  # as RelationType's
 
-    @property
-    def rank(self) -> int:
-        return _RATING_RANK[self]
+    def __new__(cls, text: str, rank: int) -> "RelevanceRating":
+        # the value is the text alone, so RelevanceRating("high") is HIGH
+        self = object.__new__(cls)
+        self._value_ = self.text = text
+        self.rank = rank
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "RelevanceRating":
@@ -117,14 +124,8 @@ class RelevanceRating(Enum):
 
 
 _NULL = RelationType.NULL  # a module constant reads faster than the enum member
-_RELATIONS = {relation.value: relation for relation in RelationType}
-_RATINGS = {rating.value: rating for rating in RelevanceRating}
-_RATING_RANK = {
-    RelevanceRating.HIGH: 3,
-    RelevanceRating.MEDIUM: 2,
-    RelevanceRating.LOW: 1,
-    RelevanceRating.UNRATED: 0,
-}
+_RELATIONS = {relation.symbol: relation for relation in RelationType}
+_RATINGS = {rating.text: rating for rating in RelevanceRating}
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,7 +181,7 @@ class Mapping:
             if target is not None:
                 raise InvalidMappingError("null relation cannot carry a target")
         elif target is None:
-            raise InvalidMappingError(f"relation {self.relation.value!r} requires a target")
+            raise InvalidMappingError(f"relation {self.relation.symbol!r} requires a target")
         # only a member holding "+" can make the joined label split differently
         elif "+" in "".join(target.terms):
             if tuple(target.label.split(COMBINATION_JOIN)) != target.terms:
@@ -192,8 +193,8 @@ class Mapping:
     @property
     def label(self) -> str:
         if self.target is None:
-            return f"{self.source.label} {self.relation.value}"
-        return f"{self.source.label} {self.relation.value} {self.target.label}"
+            return f"{self.source.label} {self.relation.symbol}"
+        return f"{self.source.label} {self.relation.symbol} {self.target.label}"
 
 
 @dataclass
@@ -242,10 +243,10 @@ def tsv_row(source_vocab: str, mapping: Mapping, target_vocab: str) -> str:
         (
             source_vocab,
             mapping.source.terms[0],
-            mapping.relation.value,
+            mapping.relation.symbol,
             target_vocab,
             mapping.target.label if mapping.target else "",
-            mapping.rating.value,
+            mapping.rating.text,
         )
     )
 

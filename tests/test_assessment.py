@@ -164,6 +164,21 @@ class TestPostingsLayout:
         # B: "crime", "Crime"; A: "x", "crime"
         assert sorted(seen) == ["Crime", "crime", "crime", "x"]
 
+    def test_a_stored_key_is_not_normalized_again_and_a_variant_once(self, monkeypatch):
+        corpus = load_corpus(io.StringIO("#corpus v1\nd1\tA\tX  Ray\nd1\tB\ty\nd2\tB\tY\n")).corpus
+        mapping = Mapping(Concept.single("x ray"), RelationType.EQ, Concept.single("y"))
+        seen = []
+
+        def counting(raw):
+            seen.append(raw)
+            return normalize_term(raw)
+
+        monkeypatch.setattr(assessment, "normalize_term", counting)
+        result = assess_mapping(mapping, "A", "B", corpus)
+        assert (result.source_hits, result.target_hits, seen) == (1, 2, [])
+        assert [corpus.count_with_all(v, (t,)) for v, t in (("A", "X Ray"), ("B", " Y"))] == [1, 2]
+        assert seen == ["X Ray", " Y"]
+
 
 class TestAssessMapping:
     def test_ok_verdict(self, sixrow, corpus):

@@ -84,23 +84,13 @@ class TestCombinedConfidence:
 
 
 class TestJoinTables:
-    """The join's tables restate the two rule functions, so they must agree on every pair."""
-
-    def test_chains_match_compose_relations_on_all_25_pairs(self):
-        pairs = [(r1, r2) for r1 in R for r2 in R]
-        assert len(pairs) == 25
-        for r1, r2 in pairs:
-            composed = compose_relations(r1, r2)
-            expected = None if composed is None else (composed, composed.value)
-            assert inference._CHAINS.get((r1, r2)) == expected, (r1, r2)
-        assert len(inference._CHAINS) == 9
+    """The join's confidence table restates combined_confidence, so both must agree."""
 
     def test_confidences_match_combined_confidence_on_all_16_pairs(self):
         pairs = [(v1, v2) for v1 in V for v2 in V]
         assert len(pairs) == 16
         for v1, v2 in pairs:
-            confidence = combined_confidence(v1, v2)
-            assert inference._CONFIDENCES[v1, v2] == (confidence.rank, confidence), (v1, v2)
+            assert inference._CONFIDENCES[v1, v2] is combined_confidence(v1, v2), (v1, v2)
         assert len(inference._CONFIDENCES) == 16
 
 

@@ -68,6 +68,87 @@ def test_no_module_reaches_into_another_modules_private_names():
     assert reaches == []
 
 
+def test_every_module_level_private_name_is_read_by_its_own_module():
+    # a private name serves its module alone: one its module never reads is dead
+    # code, or a table kept only for the tests that pin it
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(target.id, node) for target in targets if isinstance(target, ast.Name)]
+        reads = [
+            (name.id, name.lineno)
+            for name in ast.walk(tree)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+        ]
+        unread += [
+            f"{path.name}:{node.lineno}: {name}"
+            for name, node in defined
+            if is_private(name)
+            and not any(
+                read == name and not node.lineno <= line <= node.end_lineno for read, line in reads
+            )
+        ]
+    assert unread == []
+
+
+def test_no_row_written_reads_an_enum_descriptor(tmp_path, monkeypatch, capsys):
+    # an enum's `.value` and `.name` go through a descriptor about 15 times slower
+    # than a plain attribute read, so rows are written from each member's own
+    # `symbol`, `text` and `rank`
+    from enum import Enum
+
+    from komohe import cli
+    from komohe.service import Dataset, KomoheRequestHandler
+    from komohe.store import RelationType, RelevanceRating
+
+    from conftest import SIXROW_TSV
+
+    tsv = tmp_path / "in.tsv"
+    tsv.write_text(SIXROW_TSV + "B\thacking\t=\tC\tpiracy\tlow\n", encoding="utf-8")
+    data = tmp_path / "data"
+    descriptor = type(vars(Enum)["value"])  # enum.property; DynamicClassAttribute before 3.11
+    get, reads = descriptor.__get__, []
+
+    def counting(self, instance, ownerclass=None):
+        if isinstance(instance, (RelationType, RelevanceRating)):
+            reads.append((type(instance).__name__, self.fget and self.fget.__name__))
+        return get(self, instance, ownerclass)
+
+    monkeypatch.setattr(descriptor, "__get__", counting)
+    assert RelationType.EQ.value == "=" and reads == [("RelationType", "value")]  # it counts
+    reads.clear()
+    for argv in (
+        ["import", str(tsv)],  # a TSV load and, in the save, an export
+        ["export"],
+        ["stats"],
+        ["lookup", "Hacker", "--min-rating", "low"],
+        ["expand", "hacker OR isdn", "--relations", "=,^,<"],
+        ["translate", "hacker", "--to", "en"],
+        ["infer", "--from", "A", "--to", "C", "--via", "B"],  # export_inferred_tsv
+    ):
+        assert cli.run(["--data", str(data), *argv]) == 0, argv
+    handler = KomoheRequestHandler.__new__(KomoheRequestHandler)
+    handler.dataset, handler.max_expansion_terms = Dataset.load([data]), 8
+    for segments, params in (
+        (["terms", "A", "Hacker", "mappings"], {"min_rating": ["low"]}),
+        (["expand"], {"q": ["hacker OR isdn"], "relations": ["=,^,<"]}),
+        (["translate"], {"term": ["hacker"], "to_lang": ["en"]}),
+    ):
+        assert handler.route(segments, params)[1] == 200, segments
+    out, err = capsys.readouterr()
+    assert "A\thacker\t=\tC\tpiracy\tlow\t# via:B" in out
+    assert "(A->B, ^, medium)" in err
+    assert reads == []
+
+
 # public names that no komohe module calls, each kept on purpose
 UNCALLED_BY_DESIGN = {
     "single": "normalizing Concept constructor for outside text, behind the public add_mapping",

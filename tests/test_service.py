@@ -20,7 +20,7 @@ import pytest
 from komohe import service
 from komohe.errors import ConflictError, FormatError, InvalidMappingError, NotFoundError
 from komohe.queries import MAX_QUERY_LEAVES, parse_query, render_query
-from komohe.registry import Vocabulary, VocabularyRegistry
+from komohe.registry import Vocabulary, VocabularyRegistry, normalize_term
 from komohe.service import MAX_GET_BODY, Dataset, ServiceConfig, build_server, translate
 from komohe.store import CrosswalkStore, RelationType, RelevanceRating
 
@@ -346,21 +346,23 @@ def base_url():
     yield from _serve(dataset)
 
 
-class TestJsonTables:
-    """The bodies' enum tables restate each member's value, so they must agree on every member."""
+class TestMappingsRoute:
+    def test_a_key_is_not_normalized_and_a_variant_once(self, sixrow, monkeypatch):
+        seen = []
 
-    def test_relations_match_their_symbols_on_all_5_members(self):
-        assert len(RelationType) == 5
-        for relation in RelationType:
-            assert service._RELATION_JSON[relation] == relation.value, relation
-        assert len(service._RELATION_JSON) == 5
+        def counting(raw):
+            seen.append(raw)
+            return normalize_term(raw)
 
-    def test_ratings_match_their_values_and_unrated_is_null_on_all_4_members(self):
-        assert len(RelevanceRating) == 4
-        for rating in RelevanceRating:
-            expected = None if rating is RelevanceRating.UNRATED else rating.value
-            assert service._RATING_JSON[rating] == expected, rating
-        assert len(service._RATING_JSON) == 4
+        monkeypatch.setattr("komohe.registry.normalize_term", counting)
+        monkeypatch.setattr("komohe.store.normalize_term", counting)
+        handler = service.KomoheRequestHandler.__new__(service.KomoheRequestHandler)
+        handler.dataset = sixrow
+        for term, calls in (("hacker", []), (" Hacker ", [" Hacker "])):
+            seen.clear()
+            payload, status = handler.route(["terms", "A", term, "mappings"], {})
+            assert (status, len(payload["mappings"])) == (200, 3), term
+            assert seen == calls, term
 
 
 class TestEndpoints:

@@ -73,6 +73,30 @@ class TestEnums:
         with pytest.raises(InvalidMappingError):
             RelevanceRating.parse("great")
 
+    def test_every_member_declares_its_symbol_text_and_rank(self):
+        # the one place each form is written: TSV rows, labels, JSON bodies and the CLI read these
+        assert [(r.name, r.symbol) for r in RelationType] == [
+            ("EQ", "="),
+            ("BROADER_TARGET", "<"),
+            ("NARROWER_TARGET", ">"),
+            ("ASSOC", "^"),
+            ("NULL", "0"),
+        ]
+        assert [(r.name, r.text, r.rank) for r in RelevanceRating] == [
+            ("HIGH", "high", 3),
+            ("MEDIUM", "medium", 2),
+            ("LOW", "low", 1),
+            ("UNRATED", "", 0),
+        ]
+        for relation in RelationType:
+            assert relation.value == relation.symbol
+            assert RelationType(relation.symbol) is RelationType.parse(relation.symbol) is relation
+            assert "symbol" in vars(relation)  # a plain attribute, not a descriptor
+        for rating in RelevanceRating:
+            assert rating.value == rating.text
+            assert RelevanceRating(rating.text) is RelevanceRating.parse(rating.text) is rating
+            assert {"text", "rank"} <= vars(rating).keys()
+
 
 
 class TestConcept:
