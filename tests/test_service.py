@@ -346,6 +346,40 @@ def base_url():
     yield from _serve(dataset)
 
 
+def _mapping_bodies(rows):
+    """The mappings route's body row for each (term, relation, rating) row stored from A to B."""
+    dataset = Dataset.empty()
+    for term, relation, rating in rows:
+        members = [] if relation is RelationType.NULL else ["x"]
+        dataset.store.add_row("A", term, relation, "B", members, rating)
+    handler = service.KomoheRequestHandler.__new__(service.KomoheRequestHandler)
+    handler.dataset = dataset
+    bodies = []
+    for term, _, _ in rows:
+        payload, status = handler.route(["terms", "A", term, "mappings"], {})
+        assert status == 200, term
+        [body] = payload["mappings"]
+        bodies.append(body)
+    return bodies
+
+
+class TestJsonTables:
+    """The bodies write each member's JSON form from the enum, so it must match on every member."""
+
+    def test_relations_match_their_symbols_on_all_5_members(self):
+        assert len(RelationType) == 5
+        rows = [(f"t{i}", r, RelevanceRating.HIGH) for i, r in enumerate(RelationType)]
+        for (_, relation, _), body in zip(rows, _mapping_bodies(rows), strict=True):
+            assert body["relation"] == relation.value, relation
+
+    def test_ratings_match_their_values_and_unrated_is_null_on_all_4_members(self):
+        assert len(RelevanceRating) == 4
+        rows = [(f"t{i}", RelationType.EQ, r) for i, r in enumerate(RelevanceRating)]
+        for (_, _, rating), body in zip(rows, _mapping_bodies(rows), strict=True):
+            expected = None if rating is RelevanceRating.UNRATED else rating.value
+            assert body["rating"] == expected, rating
+
+
 class TestMappingsRoute:
     def test_a_key_is_not_normalized_and_a_variant_once(self, sixrow, monkeypatch):
         seen = []
