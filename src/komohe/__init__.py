@@ -5,7 +5,8 @@ The package keeps directed mappings between controlled vocabularies
 map to over there" questions, rewrites Boolean queries so they match
 documents indexed with other vocabularies, derives indirect mappings
 through pivot vocabularies, and moves data in and out as TSV or SKOS
-N-Triples. A small HTTP service and a CLI sit on top.
+N-Triples. A small HTTP service (komohe.service) and a CLI (komohe.cli)
+sit on top; the package root re-exports only the library beneath them.
 """
 
 from .assessment import (
@@ -46,7 +47,6 @@ from .queries import (
     render_query,
 )
 from .registry import Term, Vocabulary, VocabularyRegistry, normalize_term
-from .service import ServiceConfig, serve
 from .skos import export_skos, import_skos
 from .store import (
     Concept,
@@ -83,7 +83,6 @@ __all__ = [
     "QueryParseError",
     "RelationType",
     "RelevanceRating",
-    "ServiceConfig",
     "Term",
     "VariantConflict",
     "Verdict",
@@ -102,7 +101,6 @@ __all__ = [
     "parse_query",
     "render_query",
     "sample_assessment",
-    "serve",
     "translate",
     "__version__",
 ]

@@ -36,7 +36,7 @@ def rejected_line(path: str | Path, line_no: int, reason: str) -> str:
 
 @dataclass
 class Dataset:
-    """A registry and the store over it: built by one loader, then only read.
+    """A registry and the store over it: loaded once, then read, or added to by one writing command.
 
     Dataset.load runs with the cyclic garbage collector paused and, once the
     load has succeeded, calls gc.freeze(), so later collections skip the

@@ -267,7 +267,7 @@ class ExpansionConfig:
         if RelationType.NULL in self.relations:
             raise InvalidMappingError("NULL relation cannot drive expansion")
         if self.max_terms_per_leaf < 1:
-            raise ValueError("max_terms_per_leaf must be positive")
+            raise InvalidMappingError("max_terms_per_leaf must be positive")
 
 
 @dataclass(frozen=True)

@@ -236,14 +236,11 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
                 max_terms = int(max_arg)
             except ValueError:
                 raise _BadRequest(f"bad max value {max_arg!r}")
-        try:
-            config = ExpansionConfig(
-                relations=relations,
-                target_vocabs=vocabs,
-                max_terms_per_leaf=max_terms,
-            )
-        except ValueError as exc:
-            raise _BadRequest(str(exc))
+        config = ExpansionConfig(
+            relations=relations,
+            target_vocabs=vocabs,
+            max_terms_per_leaf=max_terms,
+        )
         ast = parse_query(query)
         expanded, trace = expand_query(ast, self.dataset.store, config)
         return {

@@ -20,8 +20,8 @@ export, null rows keep the target vocabulary in column 4 so every line is
 attributable to its crosswalk; on import an empty column 4 on a null row
 falls back to the last target vocabulary named for that source vocabulary.
 
-One loader builds the store; once loading has finished, any number of
-threads may read it, and nothing writes it again, so it needs no lock.
+The store needs no lock: the service's threads only read it once its load
+has finished, and a writing command adds to it from its one thread.
 Every file load (TSV here, SKOS in skos.py) runs through load_rows, which
 pauses the cyclic garbage collector while it loads and restores the
 caller's setting afterwards. Its memo maps each raw term string and key,

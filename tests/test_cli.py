@@ -157,6 +157,10 @@ class TestExpand:
         assert run(loaded, "expand", "((broken") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_cap_below_one_is_domain_error(self, loaded, capsys):
+        assert run(loaded, "expand", "x", "--max", "0") == 1
+        assert capsys.readouterr().err == "error: max_terms_per_leaf must be positive\n"
+
     def test_vocabs_items_are_stripped(self, datadir, tmp_path, capsys):
         tsv = tmp_path / "two.tsv"
         tsv.write_text(
@@ -258,6 +262,19 @@ class TestCheck:
         assert run(loaded, *args) == 0
         err = capsys.readouterr().err.splitlines()
         assert err[0] == f"{corpus}:{line_no}: expected 3 fields, got 2"
+
+    def test_crosswalk_of_null_mappings_samples_none(self, datadir, tmp_path, capsys):
+        tsv, corpus = tmp_path / "null.tsv", tmp_path / "corpus.tsv"
+        tsv.write_text("#komohe-tsv v1\nA\tisdn device\t0\tB\t\t\n", encoding="utf-8")
+        corpus.write_text(CORPUS_TSV, encoding="utf-8")
+        assert run(datadir, "import", str(tsv)) == 0
+        capsys.readouterr()
+        args = ("check", "--crosswalk", "A-B", "--corpus", str(corpus), "--sample", "3")
+        assert run(datadir, *args) == 0
+        assert capsys.readouterr() == (
+            "mapping\tsource_hits\ttarget_hits\tverdict\n",
+            "sampled 0 mappings, empty-target rate 0.00\n",
+        )
 
 
 class TestVariants:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from komohe import queries
-from komohe.errors import InvalidMappingError, QueryParseError
+from komohe.errors import InvalidMappingError, KomoheError, QueryParseError
 from komohe.queries import (
     MAX_QUERY_DEPTH,
     MAX_QUERY_LEAVES,
@@ -246,6 +246,12 @@ class TestExpansion:
     def test_null_relation_rejected_in_config(self):
         with pytest.raises(InvalidMappingError):
             ExpansionConfig(relations=frozenset({RelationType.NULL}))
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected_in_config(self, cap):
+        # a domain error, so the service answers 400 and the CLI exits 1 without re-wrapping it
+        with pytest.raises(KomoheError, match="^max_terms_per_leaf must be positive$"):
+            ExpansionConfig(max_terms_per_leaf=cap)
 
     def test_monotone_in_relations_when_uncapped(self, sixrow):
         base = frozenset({RelationType.EQ})

@@ -2,7 +2,10 @@
 
 import ast
 import importlib.util
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,6 +42,71 @@ def test_every_module_parses_at_the_declared_python_floor():
     for path in paths:
         # raises SyntaxError for syntax newer than the floor, such as `except*` below 3.11
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
+
+
+# the modules from the bottom up, in the order of README's module table, with
+# errors beneath it: a module imports only from layers below its own
+LAYERS = [
+    ["errors"],
+    ["registry"],
+    ["store"],
+    ["dataset", "queries", "inference", "assessment", "skos"],
+    ["service"],
+    ["cli"],
+]
+LIBRARY = [module for layer in LAYERS[:4] for module in layer]
+
+
+def test_each_module_imports_only_from_the_layers_below_its_own():
+    level = {module: n for n, layer in enumerate(LAYERS) for module in layer}
+    # the package root re-exports the library, and `python -m komohe` runs the CLI
+    allowed = {"__init__": set(LIBRARY), "__main__": {"cli"}}
+    allowed.update((module, {m for m in level if level[m] < level[module]}) for module in level)
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert sorted(path.stem for path in paths) == sorted(allowed)
+    wrong = []
+    for path in paths:
+        # ast.walk reaches an import inside a function too
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                wrong += [
+                    f"{path.name}:{node.lineno}: imports {name}"
+                    for name in names
+                    if name.split(".")[0] not in allowed[path.stem]
+                ]
+    assert wrong == []
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    table = [line for line in readme.splitlines() if line.startswith("| `komohe.")]
+    listed = re.findall(r"`komohe\.(\w+)`", "".join(row.split("|")[1] for row in table))
+    assert listed == [module for layer in LAYERS for module in layer]
+
+
+FRONT_ENDS = ["komohe.service", "komohe.cli", "http.server"]
+# imports each module named on its command line, then komohe.cli, and prints
+# which of FRONT_ENDS were loaded after each of the two steps
+IMPORT_PROBE = f"""
+import importlib, json, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+library = [name for name in {FRONT_ENDS!r} if name in sys.modules]
+import komohe.cli
+print(json.dumps([library, [name for name in {FRONT_ENDS!r} if name in sys.modules]]))
+"""
+
+
+def test_the_library_loads_without_the_http_layer():
+    # a fresh interpreter, since this one has long imported the service
+    modules = ["komohe", *(f"komohe.{module}" for module in LIBRARY)]
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *modules],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], FRONT_ENDS]
 
 
 def is_private(name: str) -> bool:

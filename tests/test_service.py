@@ -18,7 +18,13 @@ from urllib.parse import urlsplit
 import pytest
 
 from komohe import service
-from komohe.errors import ConflictError, FormatError, InvalidMappingError, NotFoundError
+from komohe.errors import (
+    ConflictError,
+    FormatError,
+    InvalidMappingError,
+    KomoheError,
+    NotFoundError,
+)
 from komohe.queries import MAX_QUERY_LEAVES, parse_query, render_query
 from komohe.registry import Vocabulary, VocabularyRegistry, normalize_term
 from komohe.service import MAX_GET_BODY, Dataset, ServiceConfig, build_server, translate
@@ -234,6 +240,10 @@ class TestServiceConfig:
         config = ServiceConfig()
         assert config.host == "127.0.0.1"
         assert config.port == 8080
+
+    def test_serve_needs_a_data_path(self):
+        with pytest.raises(KomoheError, match="^service needs at least one data path$"):
+            service.serve(ServiceConfig())
 
     def test_port_range(self):
         with pytest.raises(InvalidMappingError):
@@ -552,6 +562,7 @@ class TestBadInputIs400:
         "path, error",
         [
             ("/expand?q=hacker&max=abc", "bad max value 'abc'"),
+            ("/expand?q=hacker&max=0", "max_terms_per_leaf must be positive"),
             ("/translate?to_lang=de", "missing query parameter term"),
             ("/terms/A/hacker/mappings?min_rating=%20", "min_rating must be high, medium, or low"),
             ("/terms/A/hacker/mappings?relation=,", "no relation symbols in ','"),
