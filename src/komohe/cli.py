@@ -275,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="expand a Boolean query with mapped terms")
     p.add_argument("query")
-    p.add_argument("--relations", default="=", help="comma-separated relation symbols")
+    relations = ",".join(relation.symbol for relation in ExpansionConfig.relations)
+    p.add_argument("--relations", default=relations, help="comma-separated relation symbols")
     p.add_argument("--vocabs", help="comma-separated target vocabulary ids")
     max_terms = ExpansionConfig.max_terms_per_leaf
     p.add_argument("--max", type=int, default=max_terms, help="max added terms per leaf")

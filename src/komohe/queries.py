@@ -93,16 +93,17 @@ def leaf(text: str) -> Leaf:
 # ----------------------------------------------------------------------
 # Tokenizer
 
-_KEYWORDS = {"and": "AND", "or": "OR", "not": "NOT"}
-_PUNCT = {"(": "LPAREN", ")": "RPAREN"}
-# a parenthesis, a quoted phrase whose closing quote may be missing, or a bare
+# the kind of each parenthesis and, by its lower-case spelling, each keyword;
+# any other word or phrase is TEXT
+_KINDS = {"(": "LPAREN", ")": "RPAREN", "and": "AND", "or": "OR", "not": "NOT"}
+# a quoted phrase whose closing quote may be missing, or a parenthesis or bare
 # word; finditer skips only the whitespace between them
-_TOKEN_RE = re.compile(r'([()])|"([^"]*)("?)|([^\s()"]+)')
+_TOKEN_RE = re.compile(r'"([^"]*)("?)|([()]|[^\s()"]+)')
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # LPAREN RPAREN AND OR NOT TEXT
+    kind: str  # LPAREN RPAREN AND OR NOT TEXT END
     value: str
     position: int
 
@@ -110,19 +111,16 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     for match in _TOKEN_RE.finditer(text):
-        punct, phrase, closed, word = match.groups()
+        phrase, closed, word = match.groups()
         start = match.start()
-        if phrase is not None:
-            if not closed:
-                raise QueryParseError("unterminated quote", start)
-            if not phrase.strip():
-                raise QueryParseError("empty phrase", start)
-            kind, value = "TEXT", phrase
-        elif punct is not None:
-            kind, value = _PUNCT[punct], punct
+        if word is not None:
+            tokens.append(_Token(_KINDS.get(word.lower(), "TEXT"), word, start))
+        elif not closed:
+            raise QueryParseError("unterminated quote", start)
+        elif not phrase.strip():
+            raise QueryParseError("empty phrase", start)
         else:
-            kind, value = _KEYWORDS.get(word.lower(), "TEXT"), word
-        tokens.append(_Token(kind, value, start))
+            tokens.append(_Token("TEXT", phrase, start))
     return tokens
 
 
@@ -132,14 +130,14 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        # END stands where the input ends, so every lookup finds a token
+        self.tokens = [*_tokenize(text), _Token("END", "", len(text))]
         self.pos = 0
         self.depth = 0
         self.leaves = 0
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def descend(self, token: _Token, levels: int = 1) -> None:
         self.depth += levels
@@ -149,44 +147,38 @@ class _Parser:
             )
 
     def take(self) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise QueryParseError("unexpected end of input", len(self.text))
+        token = self.tokens[self.pos]
+        if token.kind == "END":
+            raise QueryParseError("unexpected end of input", token.position)
         self.pos += 1
         return token
 
     def parse(self) -> Node:
         node = self.parse_or()
         trailing = self.peek()
-        if trailing is not None:
-            raise QueryParseError(
-                f"unexpected {trailing.value!r}", trailing.position
-            )
+        if trailing.kind != "END":
+            raise QueryParseError(f"unexpected {trailing.value!r}", trailing.position)
         return node
 
     def parse_or(self) -> Node:
         parts = [self.parse_and()]
-        while (token := self.peek()) is not None and token.kind == "OR":
+        while self.peek().kind == "OR":
             self.take()
             parts.append(self.parse_and())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def parse_and(self) -> Node:
         parts = [self.parse_not()]
-        while (token := self.peek()) is not None:
-            if token.kind == "AND":
+        # an explicit AND, or an operand right after the last (implicit AND)
+        while (kind := self.peek().kind) in ("AND", "TEXT", "LPAREN", "NOT"):
+            if kind == "AND":
                 self.take()
-                parts.append(self.parse_not())
-            elif token.kind in ("TEXT", "LPAREN", "NOT"):
-                # implicit AND between adjacent operands
-                parts.append(self.parse_not())
-            else:
-                break
+            parts.append(self.parse_not())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_not(self) -> Node:
         token = self.peek()
-        if token is None or token.kind != "NOT":
+        if token.kind != "NOT":
             return self.parse_atom()
         # in "(NOT x)" the parenthesis already opened the level
         levels = int(self.pos == 0 or self.tokens[self.pos - 1].kind != "LPAREN")
@@ -202,11 +194,8 @@ class _Parser:
             self.descend(token)
             node = self.parse_or()
             closing = self.peek()
-            if closing is None or closing.kind != "RPAREN":
-                raise QueryParseError(
-                    "unbalanced parenthesis",
-                    closing.position if closing else len(self.text),
-                )
+            if closing.kind != "RPAREN":
+                raise QueryParseError("unbalanced parenthesis", closing.position)
             self.take()
             self.depth -= 1
             return node
@@ -296,13 +285,16 @@ def expand_query(
     """Expand each leaf with its mapped terms, preserving Boolean structure.
 
     A leaf with matches becomes Or(original, added...); leaves without
-    matches, and every NOT subtree, pass through unchanged.
+    matches, and every NOT subtree, pass through unchanged. So that the
+    rendered expansion parses back, a leaf under MAX_QUERY_DEPTH junctions
+    is kept as it is, and a combination is left out where its AND would
+    nest deeper than MAX_QUERY_DEPTH.
     The trace lists what was added to each expanded leaf, in order.
     """
     config = config or ExpansionConfig()
     trace: ExpansionTrace = []
 
-    def expand_leaf(node: Leaf) -> Node:
+    def expand_leaf(node: Leaf, depth: int) -> Node:
         results = store.mappings_from(
             node.text,
             relations=config.relations,
@@ -311,12 +303,16 @@ def expand_query(
         additions: list[AddedTerm] = []
         group: list[Node] = [node]
         seen: set[tuple[str, ...]] = {(node.text,)}
+        # the OR group nests one level below the leaf's junctions, a combination's AND two
+        combinations = depth + 2 <= MAX_QUERY_DEPTH
         for crosswalk, mapping in results:
             if len(additions) >= config.max_terms_per_leaf:
                 break
             concept = mapping.target
             # a member holding `"` could not be a Leaf, so the concept is left out
             if concept is None or concept.terms in seen or '"' in concept.label:
+                continue
+            if not (concept.is_single or combinations):
                 continue
             seen.add(concept.terms)
             if concept.is_single:
@@ -337,13 +333,13 @@ def expand_query(
         trace.append(LeafExpansion(original=node.text, additions=additions))
         return Or(tuple(group))
 
-    def walk(node: Node) -> Node:
+    def walk(node: Node, depth: int) -> Node:
         if isinstance(node, Leaf):
-            return expand_leaf(node)
+            return expand_leaf(node, depth) if depth < MAX_QUERY_DEPTH else node
         if isinstance(node, Junction):
-            return type(node)(tuple(walk(c) for c in node.children))
+            return type(node)(tuple(walk(c, depth + 1) for c in node.children))
         if isinstance(node, Not):
             return node
         raise TypeError(f"not a query node: {node!r}")
 
-    return walk(node), trace
+    return walk(node, 0), trace

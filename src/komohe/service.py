@@ -228,7 +228,7 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
         )
         if not query.strip():
             raise _BadRequest("missing query parameter q")
-        relations = frozenset(_parse_relations(relation_arg) if relation_arg else [RelationType.EQ])
+        relations = frozenset(_parse_relations(relation_arg)) if relation_arg else ExpansionConfig.relations
         vocabs = frozenset(split_list(vocab_arg)) if vocab_arg else None
         max_terms = self.max_expansion_terms
         if max_arg:

@@ -153,6 +153,11 @@ class TestExpand:
             ' OR ("internet" AND "security"))\n'
         )
 
+    def test_empty_relations_is_domain_error(self, loaded, capsys):
+        # only a missing --relations means ExpansionConfig's default
+        assert run(loaded, "expand", "x", "--relations", "") == 1
+        assert capsys.readouterr().err == "error: no relation symbols in ''\n"
+
     def test_parse_error_is_domain_error(self, loaded, capsys):
         assert run(loaded, "expand", "((broken") == 1
         assert "error:" in capsys.readouterr().err

@@ -1,13 +1,16 @@
 """A model-based test of the command line over one real data directory.
 
 A hypothesis state machine runs writing commands (import, terms,
-infer --promote) and reading ones (lookup, export, stats) through cli.run,
-and keeps an in-memory model that takes each write through the library's
-public, checked path: crosswalk rows through oracles.row_by_row_load. After
-each command it checks the exit code against the model, that stderr holds
-no traceback, that a failed command prints one `error:` line and leaves
-every file byte-identical, and that the data directory reloads to the
-model.
+infer --promote, skos-import) and reading ones (lookup, reverse, translate,
+expand, export, stats) through cli.run, and keeps an in-memory model that
+takes each write through the library's public, checked path: crosswalk rows
+through oracles.row_by_row_load, N-Triples through
+oracles.line_by_line_skos_read. A lookup, reverse or translate must print
+what the brute-force oracle finds in the model, and an expansion what
+expand_query renders on it. After each command it checks the exit code
+against the model, that stderr holds no traceback, that a failed command
+prints one `error:` line and leaves every file byte-identical, and that the
+data directory reloads to the model.
 """
 
 import io
@@ -20,16 +23,32 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from komohe import cli
 from komohe.dataset import Dataset
 from komohe.errors import ConflictError, KomoheError
 from komohe.inference import infer_pivot
-from komohe.registry import VocabularyRegistry
-from komohe.store import TSV_HEADER, CrosswalkStore, RelationType, RelevanceRating, tsv_row
+from komohe.queries import ExpansionConfig, expand_query, parse_query, render_query
+from komohe.registry import Vocabulary, VocabularyRegistry
+from komohe.skos import RELATION_TO_PREDICATE, SKOS_NS, concept_uri
+from komohe.store import (
+    TSV_HEADER,
+    CrosswalkStore,
+    RelationType,
+    RelevanceRating,
+    parse_relations,
+    tsv_row,
+)
 
-from oracles import brute_force_from, oracle_normalize, row_by_row_load
+from oracles import (
+    brute_force_from,
+    brute_force_reverse,
+    brute_force_translate,
+    line_by_line_skos_read,
+    oracle_normalize,
+    row_by_row_load,
+)
 
 # a non-ASCII id is percent-encoded in its term list's file name
 VOCABS = ["a", "b", "é"]
@@ -58,6 +77,31 @@ ROW = st.tuples(
     st.lists(st.sampled_from(TERMS), max_size=3).map(" + ".join),
     st.sampled_from(["high", "medium", "low", "", "superb"]),
 )
+# rows that mostly load: two vocabularies, a positive relation, a known rating
+# and one or two target terms
+LOADING_ROW = st.tuples(
+    st.permutations(VOCABS),
+    st.sampled_from(TERMS),
+    st.sampled_from(["=", "=", "<", ">", "^"]),
+    st.lists(st.sampled_from(TERMS), min_size=1, max_size=2).map(" + ".join),
+    st.sampled_from(["high", "medium", "low", ""]),
+).map(lambda row: (row[0][0], row[1], row[2], row[0][1], *row[3:]))
+# each mapping predicate, and one that is no mapping and is skipped
+PREDICATES = [*RELATION_TO_PREDICATE.values(), SKOS_NS + "prefLabel"]
+TRIPLE = st.tuples(
+    st.sampled_from(VOCABS),
+    st.sampled_from(TERMS),
+    st.sampled_from(PREDICATES),
+    st.sampled_from(VOCABS),
+    st.sampled_from(TERMS),
+)
+# quoted terms, operators and parentheses; with the bare terms, some queries fail to parse
+QUERY_PARTS = [*(f'"{term}"' for term in TERMS), "AND", "or", "NOT", "(", ")"]
+
+
+def held_or_any(held) -> st.SearchStrategy[str]:
+    """One of the `held` terms half the time, else one of TERMS."""
+    return st.sampled_from(sorted(held) or TERMS) | st.sampled_from(TERMS)
 
 
 def named_target_vocabs(rows):
@@ -137,6 +181,19 @@ class CommandLine(RuleBasedStateMachine):
             expected = 0
         self.komohe(*argv, expected=expected)
 
+    @initialize(german=st.sampled_from(VOCABS), rows=st.lists(LOADING_ROW, min_size=4, max_size=12))
+    def a_german_vocabulary_and_rows(self, german, rows):
+        """A start that the reading rules can tell apart from an empty one: the
+        import registers the other vocabularies in English."""
+        text = f"#terms {german}\n"
+
+        def change(store):
+            store.registry.register_vocabulary(Vocabulary(german, language="de"))
+            store.registry.import_terms(text, vocab_id=german)
+
+        self.write(change, "terms", german, self.input_file(text), "--lang", "de")
+        self.import_rows(rows)
+
     @rule(rows=st.lists(ROW, max_size=8))
     def import_rows(self, rows):
         text = TSV_HEADER + "\n" + "".join("\t".join(row) + "\n" for row in rows)
@@ -172,15 +229,78 @@ class CommandLine(RuleBasedStateMachine):
 
         self.write(change, "infer", "--from", source, "--to", into, "--via", via, "--promote")
 
+    @rule(
+        source=st.sampled_from(VOCABS),
+        into=st.sampled_from(VOCABS),
+        triples=st.lists(TRIPLE, max_size=4),
+        garbage=st.booleans(),  # a line that is no triple
+    )
+    def skos_import(self, source, into, triples, garbage):
+        lines = [f"<{concept_uri(sv, s)}> <{p}> <{concept_uri(tv, t)}> ." for sv, s, p, tv, t in triples]
+        text = "".join(line + "\n" for line in [*lines, *["garbage"] * garbage])
+        change = lambda store: line_by_line_skos_read(store, text, source, into)
+        self.write(change, "skos-import", self.input_file(text), "--source", source, "--target", into)
+
+    def mapping_rows(self, rows) -> list[str]:
+        return [tsv_row(cw.source_vocab, m, cw.target_vocab if m.target else "") for cw, m in rows]
+
     @rule(term=st.sampled_from(TERMS))
     def lookup(self, term):
         key = oracle_normalize(term)
         out = self.komohe("lookup", term, expected=0 if key else 1)
         if key:
-            rows = brute_force_from(self.model.crosswalks(), key)
-            assert out.splitlines() == [
-                tsv_row(cw.source_vocab, m, cw.target_vocab if m.target else "") for cw, m in rows
-            ]
+            assert out.splitlines() == self.mapping_rows(brute_force_from(self.model.crosswalks(), key))
+
+    @rule(data=st.data(), vocab=st.sampled_from(VOCABS))
+    def reverse(self, data, vocab):
+        crosswalks = self.model.crosswalks()
+        targets = {t for cw in crosswalks for m in cw.mappings if m.target for t in m.target.terms}
+        term = data.draw(held_or_any(targets))
+        key = oracle_normalize(term)
+        for target_vocab in (None, vocab):
+            flags = [] if target_vocab is None else ["--vocab", target_vocab]
+            out = self.komohe("reverse", term, *flags, expected=0 if key else 1)
+            if key:
+                rows = brute_force_reverse(crosswalks, key, target_vocab)
+                # a save writes each crosswalk's rows by source term, so a reload holds them in that order
+                rows.sort(key=lambda row: (row[0].id, row[1].source.terms[0]))
+                assert out.splitlines() == self.mapping_rows(rows)
+
+    @rule(data=st.data())
+    def translate(self, data):
+        registry, crosswalks = self.model.registry, self.model.crosswalks()
+        # half the time a term with a one-term equivalent and that equivalent's language
+        held = sorted(
+            (m.source.terms[0], registry.vocabulary(cw.target_vocab).language)
+            for cw in crosswalks
+            for m in cw.mappings
+            if m.relation is RelationType.EQ and m.target.is_single
+        )
+        any_pair = st.tuples(st.sampled_from(TERMS), st.sampled_from(["en", "de", "fr"]))
+        term, to = data.draw(st.sampled_from(held) | any_pair if held else any_pair)
+        # exit 1 when no vocabulary has the target language, or the term is empty
+        found = any(vocab.language == to for vocab in registry.vocabularies()) and oracle_normalize(term)
+        for source in (None, "en", "de"):
+            flags = [] if source is None else ["--from", source]
+            out = self.komohe("translate", term, "--to", to, *flags, expected=0 if found else 1)
+            if found:
+                rows = brute_force_translate(registry, crosswalks, found, to, source)
+                assert out.splitlines() == ["\t".join((t, v, r.text, path)) for t, v, r, path in rows]
+
+    @rule(data=st.data(), wider=st.sampled_from(["=,^", "<,>"]))
+    def expand(self, data, wider):
+        sources = {m.source.terms[0] for cw in self.model.crosswalks() for m in cw.mappings}
+        parts = st.lists(held_or_any(sources) | st.sampled_from(QUERY_PARTS), max_size=5)
+        query = " ".join(data.draw(parts))
+        for relations in (None, wider):
+            flags = [] if relations is None else ["--relations", relations]
+            try:
+                given = {} if relations is None else {"relations": frozenset(parse_relations(relations))}
+                expanded, _ = expand_query(parse_query(query), self.model, ExpansionConfig(**given))
+            except KomoheError:
+                self.komohe("expand", query, *flags, expected=1)
+            else:
+                assert self.komohe("expand", query, *flags, expected=0) == render_query(expanded) + "\n"
 
     @rule()
     def export(self):

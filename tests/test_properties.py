@@ -2,8 +2,9 @@
 included), normalization, the shared line reader, the TSV load against a
 row-by-row oracle, SKOS URI quoting against urllib and the SKOS import
 against a line-by-line oracle, the query tokenizer against a character-loop
-oracle, the /expand route on fuzzed queries, pivot inference against a
-brute-force join, and the variant audit against a brute-force audit."""
+oracle, the query parser's round trip and error positions, the /expand route
+on fuzzed queries, pivot inference against a brute-force join, and the
+variant audit against a brute-force audit."""
 
 import tempfile
 from pathlib import Path
@@ -26,7 +27,7 @@ from komohe.errors import (
     QueryParseError,
 )
 from komohe.inference import detect_variant_mappings, infer_pivot
-from komohe.queries import _tokenize
+from komohe.queries import _tokenize, parse_query, render_query
 from komohe.registry import (
     ISO_639_1,
     Vocabulary,
@@ -520,6 +521,18 @@ def test_tokenizer_matches_the_character_loop(text):
         assert (str(raised.value), raised.value.position) == (str(exc), exc.position)
         return
     assert [(t.kind, t.value, t.position) for t in _tokenize(text)] == expected
+
+
+@PROPERTY
+@given(st.one_of(QUERY, TOKEN_TEXT))
+def test_a_query_parses_back_or_fails_at_a_position_in_its_text(text):
+    # the position is what the service's 400 answer carries
+    try:
+        ast = parse_query(text)
+    except QueryParseError as exc:
+        assert type(exc.position) is int and 0 <= exc.position <= len(text)
+        return
+    assert parse_query(render_query(ast)) == ast
 
 
 def hop_rows(sources: list[str], targets: list[str]):

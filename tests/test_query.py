@@ -74,6 +74,41 @@ class TestParsing:
             parse_query('hacker AND "')
         assert exc.value.position == 11
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("", "empty query", 0),
+            ("   ", "empty query", 0),
+            ('"x', "unterminated quote", 0),
+            ('"a""b', "unterminated quote", 3),
+            ('a ""', "empty phrase", 2),
+            ('a " "', "empty phrase", 2),
+            ("a AND", "unexpected end of input", 5),
+            ("x AND  ", "unexpected end of input", 7),
+            ("a OR", "unexpected end of input", 4),
+            ("NOT", "unexpected end of input", 3),
+            ("a NOT", "unexpected end of input", 5),
+            ("a (", "unexpected end of input", 3),
+            ("(a", "unbalanced parenthesis", 2),
+            ("(a b", "unbalanced parenthesis", 4),
+            ("a)", "unexpected ')'", 1),
+            ("()", "unexpected ')'", 1),
+            ("(NOT)", "unexpected ')'", 4),
+            ("(a OR b) c)", "unexpected ')'", 10),
+            ("a OR )", "unexpected ')'", 5),
+            ("AND", "unexpected 'AND'", 0),
+            ("or a", "unexpected 'or'", 0),
+            ("a AND OR b", "unexpected 'OR'", 6),
+            ("(" * 101 + "a", f"query nested deeper than {MAX_QUERY_DEPTH} levels", 100),
+            ("t " * 257, f"query has more than {MAX_QUERY_LEAVES} terms", 512),
+        ],
+    )
+    def test_each_error_names_its_position(self, text, message, position):
+        # the position is what the service's 400 answer carries
+        with pytest.raises(QueryParseError) as exc:
+            parse_query(text)
+        assert (str(exc.value), exc.value.position) == (f"{message} (at position {position})", position)
+
 
 class TestRendering:
     def test_leaf_always_quoted(self):
@@ -316,6 +351,23 @@ class TestNestingCap:
         head = "(" * (MAX_QUERY_DEPTH - 1) + '("hacker" OR "hacking")'
         assert render_query(expanded).startswith(head)
         assert parse_query(render_query(expanded)) == expanded
+
+    @pytest.mark.parametrize("symbols", ["=", "=^"])
+    @pytest.mark.parametrize("depth", [MAX_QUERY_DEPTH - 2, MAX_QUERY_DEPTH - 1, MAX_QUERY_DEPTH])
+    def test_expansion_below_the_cap_parses_back(self, sixrow, depth, symbols):
+        # the OR group nests one level below the leaf's junctions, a combination's AND two
+        relations = frozenset(RelationType.parse(symbol) for symbol in symbols)
+        expanded, trace = expand_query(
+            nested_and_or(depth, "hacker"), sixrow.store, ExpansionConfig(relations=relations)
+        )
+        assert parse_query(render_query(expanded)) == expanded
+        combinations = ["computers + crime", "internet + security"] if symbols == "=^" else []
+        expected = {
+            MAX_QUERY_DEPTH - 2: ["hacking", *combinations],
+            MAX_QUERY_DEPTH - 1: ["hacking"],
+            MAX_QUERY_DEPTH: [],
+        }[depth]
+        assert [a.term for entry in trace for a in entry.additions] == expected
 
 
 class TestLeafCap:

@@ -510,6 +510,10 @@ class TestEndpoints:
             ' OR ("internet" AND "security"))'
         )
 
+    def test_expand_empty_relations_param_means_the_default(self, base_url):
+        _, body = get(base_url, "/expand?q=hacker&relations=")
+        assert body["expanded"] == '("hacker" OR "hacking")'
+
     def test_expand_errors(self, base_url):
         status, body = get_error(base_url, "/expand?q=")
         assert status == 400
