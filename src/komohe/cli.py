@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -26,7 +27,6 @@ from .dataset import Dataset, rejected_line, save_dataset, translate, writer_loc
 from .errors import ConflictError, KomoheError
 from .inference import detect_variant_mappings, export_inferred_tsv, infer_pivot
 from .queries import ExpansionConfig, expand_query, parse_query, render_query
-from .registry import Vocabulary
 from .service import ServiceConfig, serve
 from .skos import export_skos, import_skos
 from .store import RelationType, RelevanceRating, parse_relations, split_list, tsv_row
@@ -87,17 +87,6 @@ def cmd_export(dataset: Dataset, args: argparse.Namespace) -> None:
 
 
 def cmd_terms(dataset: Dataset, args: argparse.Namespace) -> Summary:
-    # with none of the flags, import_terms registers a new vocabulary from the file's header
-    flags = (args.lang, args.name, args.discipline)
-    if flags != (None, None, None) and not dataset.registry.has_vocabulary(args.vocab):
-        dataset.registry.register_vocabulary(
-            Vocabulary(
-                id=args.vocab,
-                name=args.name or "",
-                language="en" if args.lang is None else args.lang,
-                discipline=args.discipline or "",
-            )
-        )
     with open(args.file, encoding="utf-8") as fh:
         added = dataset.registry.import_terms(fh, vocab_id=args.vocab)
     held = dataset.registry.term_count(args.vocab)
@@ -227,6 +216,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache  # parse_args leaves the tree as it is, so one process builds it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="komohe",
@@ -250,14 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("terms", help="load a term-list file into a vocabulary")
     p.add_argument("vocab")
-    p.add_argument("file")
-    p.add_argument(
-        "--lang",
-        help="ISO 639-1 code for a new vocabulary (default en). With none of --lang, "
-        "--name or --discipline, a new vocabulary takes all three from the file's header",
-    )
-    p.add_argument("--name", help="name for a new vocabulary")
-    p.add_argument("--discipline", help="discipline for a new vocabulary")
+    new_vocab = "a new vocabulary takes its language, name and discipline from the header"
+    p.add_argument("file", help=f"term list; {new_vocab}")
     p.set_defaults(func=cmd_terms, writes=True)
 
     p = sub.add_parser("lookup", help="mappings whose source is the given term")

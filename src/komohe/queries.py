@@ -4,7 +4,10 @@ Grammar: case-insensitive AND / OR / NOT, parentheses, double-quoted
 phrases, implicit AND between adjacent bare terms, precedence
 NOT > AND > OR. A leaf is a single normalized text; multi-word leaves come
 from quoted phrases and render back as phrases, so parse(render(ast))
-reproduces the tree exactly.
+reproduces the tree exactly, except at the nesting cap: the parser counts a
+level per parenthesis or NOT, but render parenthesizes every AND, OR and NOT
+group, so `a OR (b OR (... c))` with 100 levels of parentheses parses while
+its rendering, 101 levels deep, does not.
 
 Expansion rewrites each leaf into an OR group of the original term plus
 its mapped equivalents; the surrounding AND/OR/NOT skeleton is untouched.
@@ -226,7 +229,9 @@ def parse_query(text: str) -> Node:
 
 def render_query(node: Node) -> str:
     """Canonical text form: upper-case operators, every composite parenthesized,
-    every leaf quoted. parse_query(render_query(ast)) == ast."""
+    every leaf quoted. parse_query(render_query(ast)) == ast, unless the rendering
+    nests more than MAX_QUERY_DEPTH groups: `a OR (b OR (... c))` with 100
+    parenthesized levels parses, but its rendering is 101 levels deep."""
     if isinstance(node, Leaf):
         return f'"{node.text}"'
     if isinstance(node, Junction):

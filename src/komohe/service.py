@@ -42,7 +42,6 @@ class ServiceConfig:
     port: int = 8080
     data_paths: list[Path] = field(default_factory=list)
     read_timeout: float = 30.0
-    max_expansion_terms: int = ExpansionConfig.max_terms_per_leaf
 
     def __post_init__(self) -> None:
         # port 0 asks the OS for an ephemeral port
@@ -53,10 +52,6 @@ class ServiceConfig:
         if not 0 < self.read_timeout < math.inf:
             raise InvalidMappingError(
                 f"read_timeout {self.read_timeout} must be finite and positive"
-            )
-        if self.max_expansion_terms < 1:
-            raise InvalidMappingError(
-                f"max_expansion_terms {self.max_expansion_terms} must be at least 1"
             )
 
     @classmethod
@@ -85,7 +80,6 @@ _CONFIG_KEYS = {
     "port": ("port", int),
     "data": ("data_paths", lambda text: [Path(p) for p in split_list(text)]),
     "read_timeout": ("read_timeout", float),
-    "max_expansion_terms": ("max_expansion_terms", int),
 }
 
 
@@ -115,9 +109,8 @@ def _parse_rating(text: str) -> RelevanceRating:
 class KomoheRequestHandler(BaseHTTPRequestHandler):
     """Routes GET requests onto the module operations; never raises."""
 
-    # both set on the subclass built by build_server
+    # set on the subclass built by build_server
     dataset: Dataset
-    max_expansion_terms: int
     protocol_version = "HTTP/1.1"
     # Buffer wfile so the status line, headers and body leave in one send
     # when handle_one_request flushes (error paths that return early are
@@ -230,7 +223,7 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
             raise _BadRequest("missing query parameter q")
         relations = frozenset(_parse_relations(relation_arg)) if relation_arg else ExpansionConfig.relations
         vocabs = frozenset(split_list(vocab_arg)) if vocab_arg else None
-        max_terms = self.max_expansion_terms
+        max_terms = ExpansionConfig.max_terms_per_leaf
         if max_arg:
             try:
                 max_terms = int(max_arg)
@@ -295,7 +288,6 @@ def build_server(dataset: Dataset, config: ServiceConfig) -> ThreadingHTTPServer
         (KomoheRequestHandler,),
         {
             "dataset": dataset,
-            "max_expansion_terms": config.max_expansion_terms,
             "timeout": config.read_timeout,
         },
     )

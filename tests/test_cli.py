@@ -86,8 +86,8 @@ class TestImportExport:
 class TestTermsCommand:
     def test_new_vocabulary_with_language(self, datadir, tmp_path, capsys):
         listing = tmp_path / "swd.txt"
-        listing.write_text("#terms swd\nSoziologie\nBildung\n", encoding="utf-8")
-        assert run(datadir, "terms", "swd", str(listing), "--lang", "de") == 0
+        listing.write_text("#terms swd lang=de\nSoziologie\nBildung\n", encoding="utf-8")
+        assert run(datadir, "terms", "swd", str(listing)) == 0
         assert "terms_added\t2" in capsys.readouterr().out
         # language survives the round trip through the data dir
         assert run(datadir, "translate", "x", "--to", "de") == 0
@@ -99,15 +99,29 @@ class TestTermsCommand:
         header = (datadir / "swd.terms").read_text(encoding="utf-8").splitlines()[0]
         assert header == "#terms swd lang=de name=Schlagwort"
 
-    @pytest.mark.parametrize("flag", ["--name", "--discipline"])
-    def test_line_break_in_metadata_is_error_and_writes_nothing(
-        self, datadir, tmp_path, flag, capsys
-    ):
+    def test_header_metadata_reaches_the_saved_list(self, datadir, tmp_path):
+        header = "#terms swd lang=de name=Schlagwortnormdatei discipline='social sciences'"
+        listing = tmp_path / "swd.txt"
+        listing.write_text(f"{header}\nSoziologie\n", encoding="utf-8")
+        assert run(datadir, "terms", "swd", str(listing)) == 0
+        assert (datadir / "swd.terms").read_text(encoding="utf-8").splitlines()[0] == header
+
+    @pytest.mark.parametrize("token", ["lang=xx", "lang=english"])
+    def test_rejected_header_is_error_and_writes_nothing(self, datadir, tmp_path, token, capsys):
         listing = tmp_path / "t.terms"
-        listing.write_text("#terms swd\nSoziologie\n", encoding="utf-8")
-        assert run(datadir, "terms", "swd", str(listing), flag, "Sach\nwort") == 1
+        listing.write_text(f"#terms swd {token}\nSoziologie\n", encoding="utf-8")
+        assert run(datadir, "terms", "swd", str(listing)) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not datadir.exists()
+
+    @pytest.mark.parametrize("flag", ["--lang", "--name", "--discipline"])
+    def test_metadata_flag_is_a_usage_error(self, loaded, tmp_path, flag, capsys):
+        listing = tmp_path / "swd.txt"
+        listing.write_text("#terms swd lang=de\nSoziologie\n", encoding="utf-8")
+        before = {path.name: path.read_bytes() for path in loaded.iterdir()}
+        assert run(loaded, "terms", "swd", str(listing), flag, "de") == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in loaded.iterdir()} == before
 
 
 class TestLookup:
@@ -556,7 +570,7 @@ class TestRunner:
             (("import", "new.tsv"), 0, 1, 1),
             (("import", "missing.tsv"), 1, 1, 0),
             (("export",), 0, 1, 0),
-            (("terms", "swd", "swd.txt", "--lang", "de"), 0, 1, 1),
+            (("terms", "swd", "swd.txt"), 0, 1, 1),
             (("lookup", "hacker"), 0, 1, 0),
             (("reverse", "hacking"), 0, 1, 0),
             (("expand", "hacker"), 0, 1, 0),
@@ -596,7 +610,7 @@ class TestRunner:
         "argv, out",
         [
             (("import", "new.tsv"), ""),
-            (("terms", "swd", "swd.txt", "--lang", "de"), ""),
+            (("terms", "swd", "swd.txt"), ""),
             # infer streams its TSV before the save; only the summary waits for it
             (PROMOTE, PROMOTED_TSV),
             (("skos-import", "m.nt", "--source", "X", "--target", "Y"), ""),

@@ -2,15 +2,16 @@
 
 A hypothesis state machine runs writing commands (import, terms,
 infer --promote, skos-import) and reading ones (lookup, reverse, translate,
-expand, export, stats) through cli.run, and keeps an in-memory model that
-takes each write through the library's public, checked path: crosswalk rows
-through oracles.row_by_row_load, N-Triples through
-oracles.line_by_line_skos_read. A lookup, reverse or translate must print
-what the brute-force oracle finds in the model, and an expansion what
-expand_query renders on it. After each command it checks the exit code
-against the model, that stderr holds no traceback, that a failed command
-prints one `error:` line and leaves every file byte-identical, and that the
-data directory reloads to the model.
+expand, export, stats) through cli.run, edits crosswalks.tsv by hand between
+them, and keeps an in-memory model that takes each write through the
+library's public, checked path: crosswalk rows through
+oracles.row_by_row_load, N-Triples through oracles.line_by_line_skos_read.
+A lookup or translate must print what the brute-force oracle finds in the
+model, a reverse what it finds in the store the data directory reloads to,
+and an expansion what expand_query renders on the model. After each
+command it checks the exit code against the model, that stderr holds no
+traceback, that a failed command prints one `error:` line and leaves every
+file byte-identical, and that the data directory reloads to the model.
 """
 
 import io
@@ -30,7 +31,7 @@ from komohe.dataset import Dataset
 from komohe.errors import ConflictError, KomoheError
 from komohe.inference import infer_pivot
 from komohe.queries import ExpansionConfig, expand_query, parse_query, render_query
-from komohe.registry import Vocabulary, VocabularyRegistry
+from komohe.registry import VocabularyRegistry
 from komohe.skos import RELATION_TO_PREDICATE, SKOS_NS, concept_uri
 from komohe.store import (
     TSV_HEADER,
@@ -94,6 +95,17 @@ TRIPLE = st.tuples(
     st.sampled_from(PREDICATES),
     st.sampled_from(VOCABS),
     st.sampled_from(TERMS),
+)
+# term-list header tokens: a valid and an unknown language, a name and a
+# discipline shell-quoted round a space, and an unclosed quote
+HEADER_TOKENS = [" lang=de", " lang=xx", " name='Schlag wort'", ' discipline="social sciences"', " name='open"]
+# lines that the load accepts though komohe never writes them: a comment, a
+# blank line, a null row whose empty target-vocabulary column takes its
+# context from the rows above, and a row with a `# via:` trailer
+HAND_LINE = st.one_of(
+    st.sampled_from(["# edited by hand", ""]),
+    st.tuples(st.sampled_from(VOCABS), st.sampled_from(TERMS)).map(lambda r: ((*r, "0", "", "", ""), "")),
+    st.tuples(LOADING_ROW, st.sampled_from(["", "\t# via:b", "\t # via:é"])),
 )
 # quoted terms, operators and parentheses; with the bare terms, some queries fail to parse
 QUERY_PARTS = [*(f'"{term}"' for term in TERMS), "AND", "or", "NOT", "(", ")"]
@@ -185,13 +197,9 @@ class CommandLine(RuleBasedStateMachine):
     def a_german_vocabulary_and_rows(self, german, rows):
         """A start that the reading rules can tell apart from an empty one: the
         import registers the other vocabularies in English."""
-        text = f"#terms {german}\n"
-
-        def change(store):
-            store.registry.register_vocabulary(Vocabulary(german, language="de"))
-            store.registry.import_terms(text, vocab_id=german)
-
-        self.write(change, "terms", german, self.input_file(text), "--lang", "de")
+        text = f"#terms {german} lang=de\n"
+        change = lambda store: store.registry.import_terms(text, vocab_id=german)
+        self.write(change, "terms", german, self.input_file(text))
         self.import_rows(rows)
 
     @rule(rows=st.lists(ROW, max_size=8))
@@ -207,13 +215,44 @@ class CommandLine(RuleBasedStateMachine):
     @rule(
         vocab=st.sampled_from(VOCABS),
         other=st.sampled_from([None, None, "b"]),  # the header names another vocabulary
-        lang=st.sampled_from(["", " lang=de", " lang=xx"]),
+        meta=st.lists(st.sampled_from(HEADER_TOKENS), max_size=3),
         terms=st.lists(st.sampled_from(TERMS), max_size=4),
     )
-    def terms(self, vocab, other, lang, terms):
-        text = f"#terms {other or vocab}{lang}\n" + "".join(term + "\n" for term in terms)
+    def terms(self, vocab, other, meta, terms):
+        text = f"#terms {other or vocab}{''.join(meta)}\n" + "".join(term + "\n" for term in terms)
         change = lambda store: store.registry.import_terms(text, vocab_id=vocab)
         self.write(change, "terms", vocab, self.input_file(text))
+
+    @rule(lines=st.lists(HAND_LINE, min_size=1, max_size=6))
+    def hand_edit(self, lines):
+        """Append lines to crosswalks.tsv, as an editor would; the next command
+        loads them. A row that the model rejects is left out, since the load
+        would log a warning for it."""
+        path = self.data / "crosswalks.tsv"
+        if not path.exists():
+            self.data.mkdir(exist_ok=True)
+            path.write_text(TSV_HEADER + "\n", encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
+        data_lines = [line for line in text.split("\n")[1:] if line.strip() and not line.startswith("#")]
+        above = [tuple((line.split("\t") + [""] * 6)[:6]) for line in data_lines]
+        kept, appended = [], []
+        for line in lines:
+            if isinstance(line, str):
+                appended.append(line)
+                continue
+            row, trailer = line
+            named = named_target_vocabs([*above, row])[len(named_target_vocabs(above)):]
+            probe = self.replay()
+            if not named or row_by_row_load(probe, [*kept, *named]):
+                continue
+            kept += named
+            above.append(row)
+            appended.append("\t".join(row) + trailer)
+        change = lambda store: row_by_row_load(store, kept)
+        change(self.model)
+        self.writes.append(change)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in appended))
 
     # `target` names a rule's bundle, so the target vocabulary is `into`
     @rule(source=st.sampled_from(VOCABS), into=st.sampled_from(VOCABS), via=st.sampled_from(VOCABS))
@@ -257,13 +296,15 @@ class CommandLine(RuleBasedStateMachine):
         targets = {t for cw in crosswalks for m in cw.mappings if m.target for t in m.target.terms}
         term = data.draw(held_or_any(targets))
         key = oracle_normalize(term)
+        loaded = Dataset.load([self.data]).store.crosswalks()
         for target_vocab in (None, vocab):
             flags = [] if target_vocab is None else ["--vocab", target_vocab]
             out = self.komohe("reverse", term, *flags, expected=0 if key else 1)
             if key:
-                rows = brute_force_reverse(crosswalks, key, target_vocab)
-                # a save writes each crosswalk's rows by source term, so a reload holds them in that order
-                rows.sort(key=lambda row: (row[0].id, row[1].source.terms[0]))
+                # in the order the data dir holds its rows: a save writes each crosswalk's
+                # rows by source term, and a hand edit appends rows after them; the
+                # invariant holds those rows equal to the model's
+                rows = brute_force_reverse(loaded, key, target_vocab)
                 assert out.splitlines() == self.mapping_rows(rows)
 
     @rule(data=st.data())

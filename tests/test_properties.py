@@ -173,7 +173,7 @@ SKOS_LINES = {
     "bad": "<urn:kos:a:x{n}> broken",
     "other": "<urn:kos:a:x{n}> <http://example.org/p> <urn:kos:b:y> .",
 }
-CONFIG_LINES = {"good": "max_expansion_terms = {n}", "bad": " read_timeout={n} ", "other": "\thost = h{n}"}
+CONFIG_LINES = {"good": "port = {n}", "bad": " read_timeout={n} ", "other": "\thost = h{n}"}
 
 
 def headerless_text(layout, lines):
@@ -194,7 +194,7 @@ def test_headerless_formats_skip_blank_and_comment_lines_alike(layout):
 
     # the config reads the same layout, each data kind setting one key;
     # the last line naming a key wins
-    fields = {"good": "max_expansion_terms", "bad": "read_timeout", "other": "host"}
+    fields = {"good": "port", "bad": "read_timeout", "other": "host"}
     values = {"good": int, "bad": float, "other": lambda n: f"h{n}"}
     expected = {fields[kind]: values[kind](n) for n, kind in numbered if kind in fields}
     with tempfile.TemporaryDirectory() as tmp:

@@ -25,7 +25,7 @@ from komohe.errors import (
     KomoheError,
     NotFoundError,
 )
-from komohe.queries import MAX_QUERY_LEAVES, parse_query, render_query
+from komohe.queries import MAX_QUERY_LEAVES, ExpansionConfig, parse_query, render_query
 from komohe.registry import Vocabulary, VocabularyRegistry, normalize_term
 from komohe.service import MAX_GET_BODY, Dataset, ServiceConfig, build_server, translate
 from komohe.store import CrosswalkStore, RelationType, RelevanceRating
@@ -259,13 +259,11 @@ class TestServiceConfig:
             "host = 0.0.0.0\n"
             "port = 9090\n"
             "data = /srv/komohe,/srv/extra\n"
-            "max_expansion_terms = 8\n"
         )
         config = ServiceConfig.from_file(path)
         assert config.host == "0.0.0.0"
         assert config.port == 9090
         assert config.data_paths == [Path("/srv/komohe"), Path("/srv/extra")]
-        assert config.max_expansion_terms == 8
 
     def test_from_file_strips_data_paths(self, tmp_path):
         path = tmp_path / "service.conf"
@@ -279,8 +277,6 @@ class TestServiceConfig:
             ("read_timeout", 0.0),
             ("read_timeout", float("inf")),
             ("read_timeout", float("nan")),
-            ("max_expansion_terms", 0),
-            ("max_expansion_terms", -3),
         ],
     )
     def test_values_it_cannot_serve_with(self, tmp_path, field, value):
@@ -295,6 +291,13 @@ class TestServiceConfig:
         path = tmp_path / "service.conf"
         path.write_text("port = 9090\nmax_expansion_term = 8\n")
         with pytest.raises(InvalidMappingError, match="max_expansion_term"):
+            ServiceConfig.from_file(path)
+
+    def test_expansion_cap_is_not_a_config_key(self, tmp_path):
+        # /expand reads its default cap from ExpansionConfig alone
+        path = tmp_path / "service.conf"
+        path.write_text("max_expansion_terms = 8\n")
+        with pytest.raises(InvalidMappingError, match="^line 1: unknown config key 'max_expansion_terms'$"):
             ServiceConfig.from_file(path)
 
     def test_from_file_bad_line(self, tmp_path):
@@ -388,6 +391,18 @@ class TestJsonTables:
         for (_, _, rating), body in zip(rows, _mapping_bodies(rows), strict=True):
             expected = None if rating is RelevanceRating.UNRATED else rating.value
             assert body["rating"] == expected, rating
+
+
+class TestExpandRoute:
+    def test_without_max_adds_at_most_the_expansion_default(self):
+        dataset = Dataset.empty()
+        for i in range(ExpansionConfig.max_terms_per_leaf + 8):
+            dataset.store.add_row("a", "x", RelationType.EQ, "b", [f"y{i}"], RelevanceRating.HIGH)
+        handler = service.KomoheRequestHandler.__new__(service.KomoheRequestHandler)
+        handler.dataset = dataset
+        for params, added in (({}, 32), ({"max": ["5"]}, 5), ({"max": ["40"]}, 40)):
+            payload, status = handler.route(["expand"], {"q": ["x"], **params})
+            assert (status, len(payload["trace"][0]["additions"])) == (200, added), params
 
 
 class TestMappingsRoute:
