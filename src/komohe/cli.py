@@ -186,8 +186,6 @@ def cmd_skos_import(dataset: Dataset, args: argparse.Namespace) -> Summary:
     with open(args.file, encoding="utf-8") as fh:
         report = import_skos(dataset.store, fh, args.source, args.target)
     err = [rejected_line(args.file, line_no, reason) for line_no, reason in report.errors]
-    for line_no, predicate in report.skipped_predicates:
-        err.append(rejected_line(args.file, line_no, f"skipped predicate {predicate}"))
     return [f"mappings_added\t{report.mappings_added}"], err
 
 

@@ -6,8 +6,10 @@ NOT > AND > OR. A leaf is a single normalized text; multi-word leaves come
 from quoted phrases and render back as phrases, so parse(render(ast))
 reproduces the tree exactly, except at the nesting cap: the parser counts a
 level per parenthesis or NOT, but render parenthesizes every AND, OR and NOT
-group, so `a OR (b OR (... c))` with 100 levels of parentheses parses while
-its rendering, 101 levels deep, does not.
+group, and one parenthesis can render as an OR group holding an AND group. So
+a rendering can nest about twice as deep as its text: `(x OR y AND (... z))`
+with 51 levels of parentheses parses while its rendering, 102 groups deep,
+does not; nor does that of `a OR (b OR (... c))` at 100 levels, 101 deep.
 
 Expansion rewrites each leaf into an OR group of the original term plus
 its mapped equivalents; the surrounding AND/OR/NOT skeleton is untouched.
@@ -230,8 +232,10 @@ def parse_query(text: str) -> Node:
 def render_query(node: Node) -> str:
     """Canonical text form: upper-case operators, every composite parenthesized,
     every leaf quoted. parse_query(render_query(ast)) == ast, unless the rendering
-    nests more than MAX_QUERY_DEPTH groups: `a OR (b OR (... c))` with 100
-    parenthesized levels parses, but its rendering is 101 levels deep."""
+    nests more than MAX_QUERY_DEPTH groups, which a parsed text can: a rendering
+    nests about twice as deep as its text, as a parenthesis can render as an OR
+    group holding an AND group (`(x OR y AND (... z))` at 51 levels renders 102).
+    """
     if isinstance(node, Leaf):
         return f'"{node.text}"'
     if isinstance(node, Junction):

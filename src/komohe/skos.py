@@ -2,8 +2,10 @@
 
 Crosswalk relations map onto the four SKOS mapping predicates; null
 mappings and combination targets have no SKOS counterpart and are skipped
-(counted in the export report). Concept URIs are derived from the registry:
-`urn:kos:<vocab id>:<normalized term>`, both parts percent-encoded.
+(counted in the export report). On import, a triple with any other
+predicate is a rejected line, reported as `skipped predicate <uri>`.
+Concept URIs are derived from the registry: `urn:kos:<vocab id>:<normalized
+term>`, both parts percent-encoded.
 Relevance ratings carry no standard SKOS property and are dropped; imports
 come back unrated. TSV stays the lossless format.
 """
@@ -11,7 +13,7 @@ come back unrated. TSV stays the lossless format.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import StringIO
 from typing import IO, Iterable
 from urllib.parse import quote, unquote
@@ -114,11 +116,6 @@ class SkosExport:
     skipped_combination: int = 0
 
 
-@dataclass
-class SkosImportReport(ImportReport):
-    skipped_predicates: list[tuple[int, str]] = field(default_factory=list)
-
-
 def export_skos(store: CrosswalkStore, crosswalk_ids: Iterable[str] | None = None) -> SkosExport:
     """Render crosswalks as N-Triples, one line per representable mapping.
 
@@ -155,27 +152,25 @@ def import_skos(
     stream: IO[str] | str,
     source_vocab: str,
     target_vocab: str,
-) -> SkosImportReport:
+) -> ImportReport:
     """Read N-Triples into one crosswalk; imported mappings are unrated.
 
-    Malformed lines and URIs naming other vocabularies are reported per
-    line; triples with predicates outside the four mapping predicates are
-    skipped and listed in the report. Equal vocabularies raise
+    Each line is stored or reported in `errors` with its reason: a malformed
+    line, a URI naming another vocabulary, or a predicate outside the four
+    mapping predicates (`skipped predicate <uri>`). Equal vocabularies raise
     InvalidMappingError before any line is read.
     """
     check_crosswalk_ends(source_vocab, target_vocab)
     lines = StringIO(stream) if isinstance(stream, str) else stream
-    report = SkosImportReport()
     source_prefix, target_prefix = _prefix_naming(source_vocab), _prefix_naming(target_vocab)
 
-    def parse(line_no: int, line: str) -> tuple | None:
+    def parse(line: str) -> tuple:
         match = _TRIPLE_RE.match(line)
         if match is None:
             raise FormatError(f"malformed triple: {line!r}")
         subject, predicate, obj = match.groups()
         if (relation := PREDICATE_TO_RELATION.get(predicate)) is None:
-            report.skipped_predicates.append((line_no, predicate))
-            return None
+            raise FormatError(f"skipped predicate {predicate}")
         subject_vocab, source_term = _read_uri(subject, source_prefix, source_vocab)
         object_vocab, target_term = _read_uri(obj, target_prefix, target_vocab)
         if subject_vocab != source_vocab or object_vocab != target_vocab:
@@ -186,4 +181,4 @@ def import_skos(
         return source_vocab, source_term, relation, target_vocab, [target_term], _UNRATED
 
     # stripped first, so an indented `# ...` line is a comment too
-    return store.load_rows(numbered_lines(raw.strip() for raw in lines), parse, report)
+    return store.load_rows(numbered_lines(raw.strip() for raw in lines), parse)

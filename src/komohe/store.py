@@ -233,8 +233,8 @@ class ImportReport:
 
 _BY_ID = attrgetter("id")
 TermMemo = dict[str, dict[str, Concept]]  # a load's vocabulary -> {raw term or key: Concept}
-# (line number, line) -> add_row's arguments up to `memo`, or None for a line it skips
-RowParser = Callable[[int, str], tuple | None]
+# a data line -> add_row's arguments up to `memo`; a line that is no row raises KomoheError
+RowParser = Callable[[str], tuple]
 
 
 def tsv_row(source_vocab: str, mapping: Mapping, target_vocab: str) -> str:
@@ -310,41 +310,29 @@ class CrosswalkStore:
     # ------------------------------------------------------------------
     # crosswalk management
 
-    def create_crosswalk(self, source_vocab: str, target_vocab: str) -> Crosswalk:
-        """A new crosswalk between two registered vocabularies."""
-        return self._add_crosswalk(source_vocab, target_vocab, auto_register=False)
+    def ensure_crosswalk(self, source_vocab: str, target_vocab: str) -> Crosswalk:
+        """The crosswalk between the two vocabularies, created if there is none.
 
-    def _add_crosswalk(self, source_vocab: str, target_vocab: str, auto_register: bool) -> Crosswalk:
-        """Store a new crosswalk once the two vocabularies differ, its id is free
-        and both are registered or, with `auto_register`, both have valid ids;
-        only then are the unknown ones registered."""
+        A new crosswalk is stored once the two vocabularies differ, its id is
+        free and both ids are valid; only then are the unknown ones registered.
+        """
+        existing = self.find_crosswalk(source_vocab, target_vocab)
+        if existing is not None:
+            return existing
         check_crosswalk_ends(source_vocab, target_vocab)
         crosswalk = Crosswalk(source_vocab, target_vocab)
         existing = self._crosswalks.get(crosswalk.id)
         if existing is not None:
-            if (existing.source_vocab, existing.target_vocab) != (source_vocab, target_vocab):
-                raise ConflictError(
-                    f"crosswalk id {crosswalk.id!r} collides with "
-                    f"{existing.source_vocab!r}->{existing.target_vocab!r}"
-                )
-            raise ConflictError(f"crosswalk {crosswalk.id!r} already exists")
+            raise ConflictError(
+                f"crosswalk id {crosswalk.id!r} collides with "
+                f"{existing.source_vocab!r}->{existing.target_vocab!r}"
+            )
         vocab_ids = (source_vocab, target_vocab)
-        if auto_register:
-            unknown = [Vocabulary(v) for v in vocab_ids if not self.registry.has_vocabulary(v)]
-            for vocabulary in unknown:
-                self.registry.register_vocabulary(vocabulary)
-        else:
-            for vocab_id in vocab_ids:
-                self.registry.vocabulary(vocab_id)
+        unknown = [Vocabulary(v) for v in vocab_ids if not self.registry.has_vocabulary(v)]
+        for vocabulary in unknown:
+            self.registry.register_vocabulary(vocabulary)
         self._crosswalks[crosswalk.id] = crosswalk
         return crosswalk
-
-    def ensure_crosswalk(self, source_vocab: str, target_vocab: str) -> Crosswalk:
-        """The crosswalk between the two vocabularies, created if there is none."""
-        existing = self.find_crosswalk(source_vocab, target_vocab)
-        if existing is not None:
-            return existing
-        return self.create_crosswalk(source_vocab, target_vocab)
 
     def crosswalk(self, crosswalk_id: str) -> Crosswalk:
         try:
@@ -408,13 +396,13 @@ class CrosswalkStore:
         target_terms: list[str],
         rating: RelevanceRating,
         memo: TermMemo | None = None,
-    ) -> bool:
-        """Store one TSV or SKOS row; returns whether it created its crosswalk.
+    ) -> None:
+        """Store one TSV or SKOS row.
 
-        The mapping, and for a new crosswalk both vocabulary ids, their
-        difference and the crosswalk id, are checked before anything is
-        registered; unknown vocabularies and terms are then auto-registered.
-        `memo` is the loader's memo; a term enters it once it is registered.
+        The mapping is checked first, then ensure_crosswalk checks a new
+        crosswalk and registers its unknown vocabularies; only then are
+        unknown terms auto-registered. `memo` is the loader's memo; a term
+        enters it once it is registered.
         """
         memo = {} if memo is None else memo
         target_concepts = memo.setdefault(target_vocab, {})
@@ -426,16 +414,12 @@ class CrosswalkStore:
         else:
             target = targets[0] if targets else None
         mapping = Mapping(source, relation, target, rating)
-        crosswalk = self.find_crosswalk(source_vocab, target_vocab)
-        created = crosswalk is None
-        if created:
-            crosswalk = self._add_crosswalk(source_vocab, target_vocab, auto_register=True)
+        crosswalk = self.ensure_crosswalk(source_vocab, target_vocab)
         for vocab_id, concepts, raw, concept in misses:
             key = self.registry.intern_term(vocab_id, concept.terms[0], raw).normalized
             # a key another member of this row registered first keeps that member's Concept
             concepts[raw] = concepts.setdefault(key, concept)
         self._insert(crosswalk, mapping)
-        return created
 
     def _concept(self, vocab_id: str, concepts: dict, raw: str, misses: list) -> Concept:
         """A raw term's Concept, from the memo `concepts` by raw string or key; a term
@@ -489,15 +473,21 @@ class CrosswalkStore:
     def mappings_to(
         self, term: str, target_vocab: str | None = None
     ) -> list[tuple[Crosswalk, Mapping]]:
-        """All mappings whose target is the term or a combination containing it."""
+        """All mappings whose target is the term or a combination containing it.
+
+        Ordered by crosswalk id, then source term, then insertion order: the
+        order export_tsv writes, so a save and reload leave it as it is.
+        """
         normalized = normalize_term(term)
-        return [
+        rows = [
             (crosswalk, m)
             for crosswalk in self.crosswalks()
             if target_vocab is None or crosswalk.target_vocab == target_vocab
             for m in crosswalk.mappings
             if m.target is not None and normalized in m.target.terms
         ]
+        rows.sort(key=lambda row: (row[0].id, row[1].source.terms[0]))  # stable
+        return rows
 
     def stats(self) -> dict[str, CrosswalkStats]:
         """Per-crosswalk mapping tallies by relation type and rating."""
@@ -532,26 +522,24 @@ class CrosswalkStore:
         # source vocab -> target vocab last named for it; context for null
         # rows whose target vocabulary column is empty.
         last_target_for: dict[str, str] = {}
-        return self.load_rows(
-            lines, lambda _, line: _parse_tsv_line(line, last_target_for), ImportReport()
-        )
+        return self.load_rows(lines, lambda line: _parse_tsv_line(line, last_target_for))
 
-    def load_rows(
-        self, lines: Iterable[tuple[int, str]], parse: RowParser, report: ImportReport
-    ) -> ImportReport:
+    def load_rows(self, lines: Iterable[tuple[int, str]], parse: RowParser) -> ImportReport:
         """Store each numbered line's row through add_row, with one memo and the
-        collector paused. A line whose parse or row raises KomoheError is
-        reported with its number and skipped; the load never aborts mid-stream."""
+        collector paused. Every line is either stored or rejected: one whose parse
+        or row raises KomoheError is reported with its number; the load never
+        aborts mid-stream."""
+        report = ImportReport()
+        crosswalks_before = len(self._crosswalks)
         memo: TermMemo = {}
         with gc_paused():
             for line_no, line in lines:
                 try:
-                    row = parse(line_no, line)
-                    if row is not None:
-                        report.crosswalks_created += self.add_row(*row, memo)
-                        report.mappings_added += 1
+                    self.add_row(*parse(line), memo)
+                    report.mappings_added += 1
                 except KomoheError as exc:
                     report.errors.append((line_no, str(exc)))
+        report.crosswalks_created = len(self._crosswalks) - crosswalks_before
         return report
 
     def export_tsv(self, crosswalk_ids: Iterable[str] | None = None) -> str:

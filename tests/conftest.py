@@ -103,8 +103,8 @@ def bilingual() -> Dataset:
         ("cabt", "social sciences"),
     ]:
         registry.add_term(vocab, term)
-    store.create_crosswalk("thesoz", "elsst")
-    store.create_crosswalk("thesoz", "cabt")
+    store.ensure_crosswalk("thesoz", "elsst")
+    store.ensure_crosswalk("thesoz", "cabt")
     rows = [
         ("thesoz-elsst", "soziologie", "sociology", RelevanceRating.HIGH),
         ("thesoz-elsst", "jugend", "youth", RelevanceRating.MEDIUM),

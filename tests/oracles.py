@@ -208,18 +208,19 @@ def brute_force_translate(registry, crosswalks, term: str, target_lang: str, sou
 
 
 # ----------------------------------------------------------------------
-# Brute-force reverse lookup. Walks every crosswalk's raw mapping list in
-# order and keeps each mapping one of whose target members is the
-# (normalized) term, once however many of its members that is.
+# Brute-force reverse lookup. Walks every crosswalk's raw mapping list,
+# stably sorted by source term, and keeps each mapping one of whose target
+# members is the (normalized) term, once however many of its members that is.
 
 
 def brute_force_reverse(crosswalks, term: str, target_vocab=None):
-    """(crosswalk, mapping) rows ordered by crosswalk id, then position."""
+    """(crosswalk, mapping) rows ordered by crosswalk id, then source term, then
+    position: the order in which export_tsv writes them."""
     rows = []
     for cw in sorted(crosswalks, key=lambda c: c.id):
         if target_vocab is not None and cw.target_vocab != target_vocab:
             continue
-        for m in cw.mappings:
+        for m in sorted(cw.mappings, key=lambda m: m.source.terms[0]):
             if m.target is not None and any(member == term for member in m.target.terms):
                 rows.append((cw, m))
     return rows
@@ -323,11 +324,12 @@ _TRIPLE = re.compile(r"^<([^<>]*)>\s+<([^<>]*)>\s+<([^<>]*)>\s*\.$")
 
 
 def line_by_line_skos_read(store, text: str, source_vocab: str, target_vocab: str):
-    """(mappings added, [(line, reason)], [(line, skipped predicate)]) of reading
-    N-Triples `text` into the source_vocab -> target_vocab crosswalk of `store`."""
+    """(mappings added, [(line, reason)]) of reading N-Triples `text` into the
+    source_vocab -> target_vocab crosswalk of `store`; a triple with another
+    predicate than the four mapping predicates is a rejected line."""
     if source_vocab == target_vocab:
         raise InvalidMappingError(f"crosswalk source and target must differ (got {source_vocab!r})")
-    added, errors, skipped = 0, [], []
+    added, errors = 0, []
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -339,8 +341,7 @@ def line_by_line_skos_read(store, text: str, source_vocab: str, target_vocab: st
             subject, predicate, obj = match.groups()
             relation = _SKOS_RELATIONS.get(predicate)
             if relation is None:
-                skipped.append((line_no, predicate))
-                continue
+                raise FormatError(f"skipped predicate {predicate}")
             subject_vocab, source_term = parse_concept_uri(subject)
             object_vocab, target_term = parse_concept_uri(obj)
             if (subject_vocab, object_vocab) != (source_vocab, target_vocab):
@@ -354,7 +355,7 @@ def line_by_line_skos_read(store, text: str, source_vocab: str, target_vocab: st
             added += 1
         except KomoheError as exc:
             errors.append((line_no, str(exc)))
-    return added, errors, skipped
+    return added, errors
 
 
 # ----------------------------------------------------------------------

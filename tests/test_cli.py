@@ -152,6 +152,23 @@ class TestLookup:
         assert run(loaded, "reverse", "crime") == 0
         assert "computers + crime" in capsys.readouterr().out
 
+    def test_reverse_order_survives_an_unrelated_save(self, datadir, tmp_path, capsys):
+        tsv = tmp_path / "zeta.tsv"
+        tsv.write_text("#komohe-tsv v1\nA\tzeta\t=\tB\tx\t\n", encoding="utf-8")
+        assert run(datadir, "import", str(tsv)) == 0
+        with (datadir / "crosswalks.tsv").open("a", encoding="utf-8") as fh:
+            fh.write("A\talpha\t=\tB\tx\tlow\n")  # a hand edit, after the saved row
+        expected = ["A\talpha\t=\tB\tx\tlow", "A\tzeta\t=\tB\tx\t"]
+        capsys.readouterr()
+        assert run(datadir, "reverse", "x") == 0
+        assert capsys.readouterr().out.splitlines() == expected
+        listing = tmp_path / "c.terms"
+        listing.write_text("#terms C\nc\n", encoding="utf-8")
+        assert run(datadir, "terms", "C", str(listing)) == 0  # saves crosswalks.tsv by source term
+        capsys.readouterr()
+        assert run(datadir, "reverse", "x") == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
 
 class TestExpand:
     def test_default_equivalence(self, loaded, capsys):
@@ -329,6 +346,23 @@ class TestSkos:
         err_lines = [line for line in capsys.readouterr().err.splitlines() if "closeMatch" in line]
         assert err_lines == [f"{nt}:1: skipped predicate {close_match}"]
         assert [r for r in caplog.records if r.name == "komohe.skos"] == []
+
+    def test_rejected_lines_are_reported_in_line_order(self, datadir, tmp_path, capsys):
+        skos = "http://www.w3.org/2004/02/skos/core#"
+        nt = tmp_path / "mixed.nt"
+        nt.write_text(
+            f"<urn:kos:A:x> <{skos}closeMatch> <urn:kos:B:y> .\n"
+            "<urn:kos:A:z> broken\n"
+            f"<urn:kos:A:x> <{skos}exactMatch> <urn:kos:B:y> .\n",
+            encoding="utf-8",
+        )
+        assert run(datadir, "skos-import", str(nt), "--source", "A", "--target", "B") == 0
+        captured = capsys.readouterr()
+        assert captured.out == "mappings_added\t1\n"
+        assert [line for line in captured.err.splitlines() if line.startswith(str(nt))] == [
+            f"{nt}:1: skipped predicate {skos}closeMatch",
+            f"{nt}:2: malformed triple: '<urn:kos:A:z> broken'",
+        ]
 
     def test_equal_vocabularies_are_one_error_and_leave_the_data_dir(self, loaded, tmp_path, capsys):
         exact_match = "http://www.w3.org/2004/02/skos/core#exactMatch"

@@ -188,8 +188,8 @@ def headerless_text(layout, lines):
 def test_headerless_formats_skip_blank_and_comment_lines_alike(layout):
     numbered = list(enumerate(layout, start=1))
     report = import_skos(CrosswalkStore(VocabularyRegistry()), headerless_text(layout, SKOS_LINES), "a", "b")
-    assert [n for n, _ in report.errors] == [n for n, kind in numbered if kind == "bad"]
-    assert [n for n, _ in report.skipped_predicates] == [n for n, kind in numbered if kind == "other"]
+    # a triple with another predicate is rejected like a malformed one, in line order
+    assert [n for n, _ in report.errors] == [n for n, kind in numbered if kind in ("bad", "other")]
     assert report.mappings_added == layout.count("good")
 
     # the config reads the same layout, each data kind setting one key;
@@ -357,7 +357,7 @@ def test_skos_import_matches_a_line_by_line_read(source_vocab, target_vocab, tri
         assert str(raised.value) == str(exc)
         return
     report = import_skos(fast, text, source_vocab, target_vocab)
-    assert (report.mappings_added, report.errors, report.skipped_predicates) == expected
+    assert (report.mappings_added, report.errors) == expected
     assert fast.export_tsv() == slow.export_tsv()
 
 
@@ -486,7 +486,6 @@ def test_expand_route_answers_or_raises_a_domain_error(text):
     # do_GET answers a KomoheError with 400 or 404; anything else is a 500
     handler = KomoheRequestHandler.__new__(KomoheRequestHandler)
     handler.dataset = EXPAND_DATASET
-    handler.max_expansion_terms = 4
     try:
         payload, status = handler.route(["expand"], {"q": [text]})
     except KomoheError:

@@ -344,6 +344,17 @@ class TestNestingCap:
             parse_query(text)
         assert exc.value.position == position
 
+    @pytest.mark.parametrize("levels, parses_back", [(50, True), (51, False), (60, False)])
+    def test_rendering_nests_up_to_twice_as_deep_as_its_text(self, levels, parses_back):
+        # each parenthesis renders as an OR group holding an AND group
+        text = "(x OR y AND " * levels + "z" + ")" * levels
+        ast = parse_query(text)
+        if parses_back:
+            assert parse_query(render_query(ast)) == ast
+        else:
+            with pytest.raises(QueryParseError):
+                parse_query(render_query(ast))
+
     def test_expand_and_render_at_the_cap(self, sixrow):
         ast = nested_and_or(MAX_QUERY_DEPTH - 1, "hacker")
         expanded, trace = expand_query(ast, sixrow.store, ExpansionConfig())

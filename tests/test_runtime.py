@@ -204,7 +204,7 @@ def test_no_row_written_reads_an_enum_descriptor(tmp_path, monkeypatch, capsys):
     ):
         assert cli.run(["--data", str(data), *argv]) == 0, argv
     handler = KomoheRequestHandler.__new__(KomoheRequestHandler)
-    handler.dataset, handler.max_expansion_terms = Dataset.load([data]), 8
+    handler.dataset = Dataset.load([data])
     for segments, params in (
         (["terms", "A", "Hacker", "mappings"], {"min_rating": ["low"]}),
         (["expand"], {"q": ["hacker OR isdn"], "relations": ["=,^,<"]}),

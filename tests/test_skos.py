@@ -140,7 +140,7 @@ class TestImport:
         )
         report = import_skos(data.store, io.StringIO(text), "a", "b")
         assert report.mappings_added == 1
-        assert report.skipped_predicates == [(1, f"{SKOS_NS}closeMatch")]
+        assert report.errors == [(1, f"skipped predicate {SKOS_NS}closeMatch")]
 
     def test_vocab_mismatch_is_line_error(self):
         data = Dataset.empty()

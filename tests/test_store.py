@@ -153,21 +153,19 @@ class TestMappingInvariants:
 
 
 class TestCrosswalkLifecycle:
-    def test_create_requires_known_vocabs(self):
+    def test_ensure_registers_an_unknown_vocabulary(self):
         store = fresh_store()
+        cw = store.ensure_crosswalk("a", "nope")
+        assert cw.id == "a-nope" and store.registry.has_vocabulary("nope")
+        # the new vocabulary holds no term, so it still receives no mapping
         with pytest.raises(NotFoundError):
-            store.create_crosswalk("a", "nope")
+            store.add_mapping(cw.id, simple_mapping("x", target="y"))
+        assert cw.mappings == []
 
     def test_create_rejects_self_mapping(self):
         store = fresh_store()
         with pytest.raises(InvalidMappingError):
-            store.create_crosswalk("a", "a")
-
-    def test_create_duplicate_conflicts(self):
-        store = fresh_store()
-        store.create_crosswalk("a", "b")
-        with pytest.raises(ConflictError):
-            store.create_crosswalk("a", "b")
+            store.ensure_crosswalk("a", "a")
 
     def test_ensure_crosswalk(self):
         store = fresh_store()
@@ -182,15 +180,23 @@ class TestCrosswalkLifecycle:
         reg.register_vocabulary(Vocabulary("a-b"))
         reg.register_vocabulary(Vocabulary("c"))
         store = CrosswalkStore(reg)
-        store.create_crosswalk("a", "b-c")  # id "a-b-c"
+        store.ensure_crosswalk("a", "b-c")  # id "a-b-c"
         with pytest.raises(ConflictError):
-            store.create_crosswalk("a-b", "c")  # same derived id
+            store.ensure_crosswalk("a-b", "c")  # same derived id
+
+    def test_id_collision_registers_neither_unknown_vocabulary(self):
+        store = CrosswalkStore(VocabularyRegistry())
+        store.ensure_crosswalk("p", "q-r")  # id "p-q-r"
+        with pytest.raises(ConflictError, match="collides with 'p'->'q-r'"):
+            store.ensure_crosswalk("p-q", "r")
+        assert [v.id for v in store.registry.vocabularies()] == ["p", "q-r"]
+        assert [cw.id for cw in store.crosswalks()] == ["p-q-r"]
 
 
 class TestAddAndQuery:
     def test_add_assigns_sequential_ids(self):
         store = fresh_store()
-        store.create_crosswalk("a", "b")
+        store.ensure_crosswalk("a", "b")
         first, second = simple_mapping("x", target="y"), simple_mapping("y", target="z")
         store.add_mapping("a-b", first)
         store.add_mapping("a-b", second)
@@ -198,7 +204,7 @@ class TestAddAndQuery:
 
     def test_add_requires_registered_terms(self):
         store = fresh_store()
-        store.create_crosswalk("a", "b")
+        store.ensure_crosswalk("a", "b")
         with pytest.raises(NotFoundError):
             store.add_mapping("a-b", simple_mapping("ghost", target="y"))
         with pytest.raises(NotFoundError):
@@ -206,14 +212,14 @@ class TestAddAndQuery:
 
     def test_duplicate_triple_conflicts(self):
         store = fresh_store()
-        store.create_crosswalk("a", "b")
+        store.ensure_crosswalk("a", "b")
         store.add_mapping("a-b", simple_mapping())
         with pytest.raises(ConflictError):
             store.add_mapping("a-b", simple_mapping(rating=RelevanceRating.LOW))
 
     def test_near_duplicates_are_not_conflicts(self):
         store = fresh_store()
-        cw = store.create_crosswalk("a", "b")
+        cw = store.ensure_crosswalk("a", "b")
         x_y = simple_mapping("x", target="y")
         store.add_mapping("a-b", x_y)
         near = [
@@ -229,8 +235,8 @@ class TestAddAndQuery:
 
     def test_same_triple_in_other_crosswalk_ok(self):
         store = fresh_store()
-        store.create_crosswalk("a", "b")
-        store.create_crosswalk("a", "c")
+        store.ensure_crosswalk("a", "b")
+        store.ensure_crosswalk("a", "c")
         store.add_mapping("a-b", simple_mapping())
         store.add_mapping("a-c", simple_mapping())
         assert len(store.mappings_from("x")) == 2
@@ -529,8 +535,8 @@ class TestAddRow:
     def test_registers_vocabularies_crosswalk_and_display_terms(self):
         store = CrosswalkStore(VocabularyRegistry())
         targets = ["Computers", "Crime"]
-        assert store.add_row("a", " Hacker ", RelationType.EQ, "b", targets, RelevanceRating.HIGH)
-        assert not store.add_row("a", "isdn", RelationType.NULL, "b", [], RelevanceRating.UNRATED)
+        store.add_row("a", " Hacker ", RelationType.EQ, "b", targets, RelevanceRating.HIGH)
+        store.add_row("a", "isdn", RelationType.NULL, "b", [], RelevanceRating.UNRATED)
         assert store.registry.lookup_term("a", "hacker").display == "Hacker"
         assert store.registry.lookup_term("b", "crime").display == "Crime"
         (cw, mapping), = store.mappings_from("hacker")
@@ -646,8 +652,8 @@ class TestTsvExport:
 
     def test_selected_crosswalks_only(self):
         store = fresh_store()
-        store.create_crosswalk("a", "b")
-        store.create_crosswalk("a", "c")
+        store.ensure_crosswalk("a", "b")
+        store.ensure_crosswalk("a", "c")
         store.add_mapping("a-b", simple_mapping())
         store.add_mapping("a-c", simple_mapping())
         text = store.export_tsv(["a-c"])
@@ -759,7 +765,7 @@ class TestCombinationJoinInTerms:
         store = CrosswalkStore(reg)
         reg.register_vocabulary(Vocabulary("a"))
         reg.register_vocabulary(Vocabulary("b"))
-        store.create_crosswalk("a", "b")
+        store.ensure_crosswalk("a", "b")
         reg.add_term("a", "x + y")  # only target columns are split
         for term in ("+ c", "d +", "e+f", "+"):
             reg.add_term("b", term)
