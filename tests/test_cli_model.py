@@ -86,7 +86,7 @@ LOADING_ROW = st.tuples(
     st.lists(st.sampled_from(TERMS), min_size=1, max_size=2).map(" + ".join),
     st.sampled_from(["high", "medium", "low", ""]),
 ).map(lambda row: (row[0][0], row[1], row[2], row[0][1], *row[3:]))
-# each mapping predicate, and one that is no mapping and is skipped
+# each mapping predicate, and one that is no mapping, whose line is rejected
 PREDICATES = [*RELATION_TO_PREDICATE.values(), SKOS_NS + "prefLabel"]
 TRIPLE = st.tuples(
     st.sampled_from(VOCABS),
