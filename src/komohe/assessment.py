@@ -161,12 +161,15 @@ def sample_assessment(
     """Assess a seeded pseudo-random sample of a crosswalk's non-null mappings.
 
     The same seed always selects the same sample. sample_size is clamped to
-    the number of assessable mappings; rows come back in store order.
+    the number of assessable mappings. The sample is drawn from, and its rows
+    come back in, export order (by source term, then insertion order), so a
+    save and reload leave it as it is.
     """
     if sample_size < 1:
         raise InvalidMappingError("sample size must be at least 1")
     crosswalk = store.crosswalk(crosswalk_id)
     candidates = [m for m in crosswalk.mappings if m.relation is not RelationType.NULL]
+    candidates.sort(key=lambda m: m.source.terms[0])  # stable, as export_tsv's
     k = min(sample_size, len(candidates))
     rng = random.Random(seed)
     chosen = [candidates[i] for i in sorted(rng.sample(range(len(candidates)), k))]

@@ -1,8 +1,9 @@
 """A loaded registry and crosswalk store, its data directory, and translation.
 
 A Dataset is built by one loader (Dataset.load, or a CLI command that then
-saves it) and only read afterwards: the HTTP service loads it once and
-serves it to concurrent readers, and a reload is a restart. A command that
+saves it), and its rows are only read afterwards: the HTTP service loads it
+once and serves it to concurrent readers, who write only the store's
+expansion cache (see store.py), and a reload is a restart. A command that
 saves holds the data directory's writer lock from its load to its save.
 """
 

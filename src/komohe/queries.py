@@ -20,7 +20,7 @@ inside the OR group.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Union
 
 from .errors import InvalidMappingError, InvalidTermError, QueryParseError
@@ -41,8 +41,13 @@ MAX_QUERY_DEPTH = 100
 # to 0.86 MB once expanded. A searcher's query holds a handful of terms.
 MAX_QUERY_LEAVES = 256
 
+# Most leaf expansions a store's cache keeps (CrosswalkStore.expansions); a
+# full cache is emptied. On the benchmark's 100k-mapping network an entry
+# holds about 2 KB, so a full cache holds about 2 MB.
+MAX_CACHED_LEAVES = 1024
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Leaf:
     """A term or quoted phrase; text is normalized, non-empty and holds no `"`."""
 
@@ -65,7 +70,7 @@ class Leaf:
         return node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Junction:
     """An n-ary operator node. And and Or differ only in `op`; an And never equals an Or."""
 
@@ -78,14 +83,16 @@ class Junction:
 
 
 class And(Junction):
+    __slots__ = ()
     op = "AND"
 
 
 class Or(Junction):
+    __slots__ = ()
     op = "OR"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     child: Node
 
@@ -268,7 +275,7 @@ class ExpansionConfig:
             raise InvalidMappingError("max_terms_per_leaf must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddedTerm:
     """One term (or combination) merged into a leaf's OR group."""
 
@@ -279,10 +286,12 @@ class AddedTerm:
     rating: RelevanceRating
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class LeafExpansion:
+    """What one leaf gained, in order. The store's cache shares it between expansions."""
+
     original: str
-    additions: list[AddedTerm] = field(default_factory=list)
+    additions: tuple[AddedTerm, ...] = ()
 
 
 ExpansionTrace = list[LeafExpansion]
@@ -299,21 +308,34 @@ def expand_query(
     is kept as it is, and a combination is left out where its AND would
     nest deeper than MAX_QUERY_DEPTH.
     The trace lists what was added to each expanded leaf, in order.
+
+    A leaf that gains terms is kept in `store.expansions`, which the store
+    empties when a row is added. Threads share it without a lock: they only
+    get, store, count and clear, so a race costs one recomputed entry, and the
+    cache outgrows MAX_CACHED_LEAVES by at most one entry per other thread
+    storing at that moment.
     """
     config = config or ExpansionConfig()
+    requested = config.target_vocabs
+    # only a registered vocabulary is a crosswalk's target, so a key keeps no
+    # other requested id; an empty request, like none, means every vocabulary
+    vocabs = frozenset(filter(store.registry.has_vocabulary, requested)) if requested else None
+    # a leaf's expansion depends on these, its text and its depth, and on the store's rows
+    setting = (config.relations, vocabs, config.max_terms_per_leaf)
+    cache = store.expansions
     trace: ExpansionTrace = []
 
     def expand_leaf(node: Leaf, depth: int) -> Node:
-        results = store.mappings_from(
-            node.text,
-            relations=config.relations,
-            target_vocabs=config.target_vocabs or None,
-        )
+        # the OR group nests one level below the leaf's junctions, a combination's AND two
+        combinations = depth + 2 <= MAX_QUERY_DEPTH
+        key = (setting, node.text, combinations)
+        if (kept := cache.get(key)) is not None:
+            trace.append(kept[1])
+            return kept[0]
+        results = store.mappings_from(node.text, relations=config.relations, target_vocabs=vocabs)
         additions: list[AddedTerm] = []
         group: list[Node] = [node]
         seen: set[tuple[str, ...]] = {(node.text,)}
-        # the OR group nests one level below the leaf's junctions, a combination's AND two
-        combinations = depth + 2 <= MAX_QUERY_DEPTH
         for crosswalk, mapping in results:
             if len(additions) >= config.max_terms_per_leaf:
                 break
@@ -338,9 +360,13 @@ def expand_query(
                 )
             )
         if not additions:
-            return node
-        trace.append(LeafExpansion(original=node.text, additions=additions))
-        return Or(tuple(group))
+            return node  # not kept, so a kept key's text is a stored term, not any user text
+        expanded = Or(tuple(group))
+        trace.append(LeafExpansion(original=node.text, additions=tuple(additions)))
+        if len(cache) >= MAX_CACHED_LEAVES:
+            cache.clear()
+        cache[key] = (expanded, trace[-1])
+        return expanded
 
     def walk(node: Node, depth: int) -> Node:
         if isinstance(node, Leaf):

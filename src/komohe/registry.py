@@ -3,8 +3,9 @@
 Every string that enters the mapping network goes through
 :func:`normalize_term`, and lookups compare normalized keys only. A display
 form equal to its key is that key object. The registry needs no lock: the
-service's threads only read it once its load has finished, and a writing
-command adds to it from its one thread.
+service's threads only read it once its load has finished (what they write
+is the store's expansion cache, see store.py), and a writing command adds to
+it from its one thread.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """The heterogeneity service: an HTTP+JSON lookup API over a loaded dataset.
 
-The service loads its Dataset once at startup and never writes it, so the
-handler threads only read. Mutation happens through the CLI before
-serving; a reload is a restart.
+The service loads its Dataset once at startup and never adds to it: the
+handler threads read its rows and write only the store's expansion cache,
+by single dict operations that need no lock (see CrosswalkStore). Mutation
+happens through the CLI before serving; a reload is a restart.
 
 Endpoints (all GET, JSON responses carry a top-level "v": 1):
     /vocabularies
@@ -34,6 +35,9 @@ logger = logging.getLogger(__name__)
 # A GET body up to this size is read and dropped, so the kept-alive
 # connection's next request starts where it should; a larger one closes it.
 MAX_GET_BODY = 65536
+
+# one encoder for every response: json.dumps with these options builds a new one per call
+_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 
 @dataclass
@@ -154,7 +158,7 @@ class KomoheRequestHandler(BaseHTTPRequestHandler):
         self.send_json({"v": 1, "error": message or self.responses[code][0]}, code, close=True)
 
     def send_json(self, payload: dict, status: int, close: bool = False) -> None:
-        body = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        body = _JSON.encode(payload).encode("utf-8")
         self.send_response(status)
         if close:
             self.send_header("Connection", "close")

@@ -20,8 +20,12 @@ export, null rows keep the target vocabulary in column 4 so every line is
 attributable to its crosswalk; on import an empty column 4 on a null row
 falls back to the last target vocabulary named for that source vocabulary.
 
-The store needs no lock: the service's threads only read it once its load
-has finished, and a writing command adds to it from its one thread.
+The store needs no lock: the service's threads only read its rows once its
+load has finished, and a writing command adds to it from its one thread.
+The threads do write its expansion cache (`expansions`, kept by
+queries.expand_query), but only by single dict operations (get, store, len,
+clear), each atomic under the interpreter lock; they never iterate it, and
+a race costs at most one recomputed entry.
 Every file load (TSV here, SKOS in skos.py) runs through load_rows, which
 pauses the cyclic garbage collector while it loads and restores the
 caller's setting afterwards. Its memo maps each raw term string and key,
@@ -306,6 +310,8 @@ class CrosswalkStore:
         self._crosswalks: dict[str, Crosswalk] = {}
         # source term -> the crosswalks that map from it, by id; they own its lists
         self._by_source: dict[str, list[Crosswalk]] = {}
+        # queries.expand_query's cache of leaf expansions, keyed and bounded there
+        self.expansions: dict = {}
 
     # ------------------------------------------------------------------
     # crosswalk management
@@ -374,7 +380,8 @@ class CrosswalkStore:
         self._insert(crosswalk, mapping)
 
     def _insert(self, crosswalk: Crosswalk, mapping: Mapping) -> None:
-        """Index a mapping whose terms are registered; a duplicate triple is a conflict."""
+        """Index a mapping whose terms are registered; a duplicate triple is a conflict.
+        A stored row empties the expansion cache, which it can make stale."""
         source_term = mapping.source.terms[0]
         same_source = crosswalk.by_source.get(source_term)
         if same_source is None:
@@ -386,6 +393,8 @@ class CrosswalkStore:
         else:
             same_source.append(mapping)
         crosswalk.mappings.append(mapping)
+        if self.expansions:
+            self.expansions.clear()
 
     def add_row(
         self,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from komohe.errors import FormatError, InvalidMappingError, KomoheError, QueryParseError
-from komohe.registry import Vocabulary
 from komohe.skos import parse_concept_uri
 from komohe.store import Concept, Mapping, RelationType, RelevanceRating
 
@@ -292,13 +291,7 @@ def row_by_row_load(store, rows) -> list[tuple[int, str]]:
             members = targets.split(" + ") if targets.strip() else []
             target = Concept.combination(members) if members else None
             mapping = Mapping(Concept.single(source_term), relation, target, rating)
-            # ensure_crosswalk rejects an equal pair before it reads the
-            # registry, so such a row registers no vocabulary
-            if source_vocab != target_vocab:
-                for vocab in (source_vocab, target_vocab):
-                    if not store.registry.has_vocabulary(vocab):
-                        store.registry.register_vocabulary(Vocabulary(vocab))
-            crosswalk = store.ensure_crosswalk(source_vocab, target_vocab)
+            crosswalk = store.ensure_crosswalk(source_vocab, target_vocab)  # registers the vocabularies
             store.registry.add_term(source_vocab, source_term)
             for member in members:
                 store.registry.add_term(target_vocab, member)

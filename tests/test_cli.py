@@ -313,6 +313,28 @@ class TestCheck:
         )
 
 
+    def test_sample_survives_an_unrelated_save(self, datadir, tmp_path, capsys):
+        tsv, corpus = tmp_path / "two.tsv", tmp_path / "corpus.tsv"
+        tsv.write_text("#komohe-tsv v1\nA\tzeta\t=\tB\tx\thigh\nA\tmu\t=\tB\ty\thigh\n", encoding="utf-8")
+        corpus.write_text(CORPUS_TSV, encoding="utf-8")
+        assert run(datadir, "import", str(tsv)) == 0
+        with (datadir / "crosswalks.tsv").open("a", encoding="utf-8") as fh:
+            fh.write("A\talpha\t=\tB\tz\tlow\n")  # a hand edit, after the saved rows
+
+        def samples() -> str:
+            capsys.readouterr()
+            for seed in "12345":
+                args = ("--corpus", str(corpus), "--sample", "1", "--seed", seed)
+                assert run(datadir, "check", "--crosswalk", "A-B", *args) == 0
+            return capsys.readouterr().out
+
+        before = samples()
+        listing = tmp_path / "c.terms"
+        listing.write_text("#terms C\nc\n", encoding="utf-8")
+        assert run(datadir, "terms", "C", str(listing)) == 0  # saves crosswalks.tsv by source term
+        assert samples() == before
+
+
 class TestVariants:
     def test_conflict_row(self, datadir, tmp_path, capsys):
         tsv = tmp_path / "variants.tsv"

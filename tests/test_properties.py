@@ -27,7 +27,17 @@ from komohe.errors import (
     QueryParseError,
 )
 from komohe.inference import detect_variant_mappings, infer_pivot
-from komohe.queries import _tokenize, parse_query, render_query
+from komohe.queries import (
+    MAX_QUERY_DEPTH,
+    And,
+    ExpansionConfig,
+    Leaf,
+    Or,
+    _tokenize,
+    expand_query,
+    parse_query,
+    render_query,
+)
 from komohe.registry import (
     ISO_639_1,
     Vocabulary,
@@ -491,6 +501,73 @@ def test_expand_route_answers_or_raises_a_domain_error(text):
     except KomoheError:
         return
     assert status == 200 and payload["expanded"]
+
+
+CACHE_TERM = st.sampled_from(["x", "y", "z"])
+CACHE_ROW = st.tuples(
+    st.sampled_from(["a", "b"]),
+    CACHE_TERM,
+    st.sampled_from([RelationType.EQ, RelationType.EQ, RelationType.ASSOC]),
+    st.sampled_from(["b", "c"]),
+    st.lists(st.one_of(CACHE_TERM, st.just('q"q')), min_size=1, max_size=2),
+    st.sampled_from([RelevanceRating.HIGH, RelevanceRating.UNRATED]),
+)
+CACHE_QUERY = st.recursive(
+    st.sampled_from(["x", "y", "z", "w"]).map(Leaf),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda c: And(tuple(c))),
+        st.lists(kids, min_size=2, max_size=3).map(lambda c: Or(tuple(c))),
+    ),
+    max_leaves=6,
+)
+# few settings, so that a later step often meets an entry an earlier one kept
+WIDE = frozenset({RelationType.EQ, RelationType.ASSOC})
+CACHE_CONFIG = st.sampled_from(
+    [
+        ExpansionConfig(),
+        ExpansionConfig(relations=WIDE),
+        ExpansionConfig(relations=WIDE, target_vocabs=frozenset({"b", "d"}), max_terms_per_leaf=1),
+    ]
+)
+CACHE_STEP = st.one_of(st.tuples(st.just("add"), CACHE_ROW), st.tuples(st.just("expand"), CACHE_QUERY, CACHE_CONFIG))
+
+
+@PROPERTY
+@given(st.lists(CACHE_ROW, max_size=6), st.lists(CACHE_STEP, max_size=16))
+@example(  # a combination kept for a leaf at the top, asked for where it no longer fits
+    [("a", "x", RelationType.EQ, "b", ["y", "z"], RelevanceRating.HIGH)],
+    [("expand", Leaf("x"), ExpansionConfig())],
+)
+@example(  # a row added after the leaf's expansion was kept
+    [("a", "x", RelationType.EQ, "b", ["y"], RelevanceRating.HIGH)],
+    [("expand", Leaf("x"), ExpansionConfig()), ("add", ("a", "x", RelationType.EQ, "b", ["z"], RelevanceRating.HIGH))],
+)
+def test_a_warm_expansion_cache_answers_as_a_fresh_store(loaded, steps):
+    warm, rows, expanded = CrosswalkStore(VocabularyRegistry()), [], []
+
+    def check(query, config):
+        # the same leaves where a combination fits, where it no longer does, and where none expands
+        for depth in (0, MAX_QUERY_DEPTH - 2, MAX_QUERY_DEPTH - 1):
+            nested = query
+            for _ in range(depth):
+                nested = And((nested, Leaf("w")))
+            fresh = CrosswalkStore(VocabularyRegistry())
+            for row in rows:
+                fresh.add_row(*row)
+            assert expand_query(nested, warm, config) == expand_query(nested, fresh, config)
+
+    for kind, *args in [("add", row) for row in loaded] + steps:
+        if kind == "expand":
+            expanded.append(args)
+            check(*args)
+            continue
+        try:
+            warm.add_row(*args[0])
+        except KomoheError:  # a crosswalk into its own vocabulary, or a duplicate
+            continue
+        rows.append(args[0])
+    for args in expanded:  # each again, over the rows added since
+        check(*args)
 
 
 # separators the two tokenizers must agree on: str.isspace counts U+001C as

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from komohe import queries
+from komohe.dataset import Dataset
 from komohe.errors import InvalidMappingError, KomoheError, QueryParseError
 from komohe.queries import (
     MAX_QUERY_DEPTH,
@@ -308,6 +309,51 @@ class TestExpansion:
                 }
 
             assert added_terms(small) <= added_terms(large)
+
+
+class TestExpansionCache:
+    def test_a_row_added_after_an_expansion_is_seen(self, sixrow):
+        ast = parse_query("hacker OR isdn")
+        before, _ = expand_query(ast, sixrow.store)
+        assert sixrow.store.expansions  # "hacker" gained a term
+        sixrow.store.add_row("A", "isdn", RelationType.EQ, "B", ["isdn net"], RelevanceRating.LOW)
+        assert not sixrow.store.expansions
+        after, trace = expand_query(ast, sixrow.store)
+        assert after != before
+        assert [entry.original for entry in trace] == ["hacker", "isdn"]
+
+    def test_the_cache_never_outgrows_its_cap(self, monkeypatch):
+        monkeypatch.setattr(queries, "MAX_CACHED_LEAVES", 3)
+        store = Dataset.empty().store
+        for i in range(8):
+            store.add_row("A", f"t{i}", RelationType.EQ, "B", [f"u{i}"], RelevanceRating.HIGH)
+        sizes = []
+
+        class Recorded(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                sizes.append(len(self))
+
+        store.expansions = Recorded()
+        ast = parse_query(" OR ".join(f"t{i % 8}" for i in range(20)))
+        expanded, trace = expand_query(ast, store)
+        assert max(sizes) == 3 and len(sizes) == 20  # eight leaves in turn overrun three places
+        assert len(trace) == 20
+        assert expanded == Or(tuple(Or((leaf(f"t{i % 8}"), leaf(f"u{i % 8}"))) for i in range(20)))
+
+    def test_an_unknown_target_vocabulary_still_adds_nothing(self, sixrow):
+        # the key keeps only registered ids, and an empty set is not "every vocabulary"
+        ast = parse_query("hacker")
+        for vocabs, added in ((None, 1), (frozenset(), 1), (frozenset({"Z"}), 0), (frozenset({"B", "Z"}), 1)):
+            _, trace = expand_query(ast, sixrow.store, ExpansionConfig(target_vocabs=vocabs))
+            assert sum(len(entry.additions) for entry in trace) == added, vocabs
+
+    def test_a_combination_is_kept_apart_from_the_leaf_at_the_cap(self, sixrow):
+        # the same leaf, above and at the depth where its combinations no longer fit
+        config = ExpansionConfig(relations=frozenset({RelationType.EQ, RelationType.ASSOC}))
+        for depth, added in ((0, 3), (MAX_QUERY_DEPTH - 1, 1), (0, 3), (MAX_QUERY_DEPTH, 0)):
+            _, trace = expand_query(nested_and_or(depth, "hacker"), sixrow.store, config)
+            assert sum(len(entry.additions) for entry in trace) == added, depth
 
 
 def nested_not(depth):

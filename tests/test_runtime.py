@@ -264,17 +264,22 @@ def test_every_public_name_is_used_or_exported():
     assert unused == []
 
 
-# records built once per stored row or term, or once per result a call returns
-PER_ROW_RECORDS = ["Concept", "Mapping", "Term", "InferredMapping", "VariantConflict"]
+# records built once per stored row or term, or once per result a call returns;
+# the query records are also what the expansion cache holds
+PER_ROW_RECORDS = [
+    "Concept", "Mapping", "Term", "InferredMapping", "VariantConflict",
+    "Leaf", "And", "Or", "Not", "AddedTerm", "LeafExpansion",
+]
 
 
 def test_records_built_per_row_or_result_define_slots():
     # a slotted record carries no per-instance __dict__; every class in its MRO
     # below object must define __slots__, or instances get a __dict__ anyway
     import komohe
+    from komohe import queries
 
     for name in PER_ROW_RECORDS:
-        record = getattr(komohe, name)
+        record = getattr(komohe, name, None) or getattr(queries, name)  # trace records are not re-exported
         unslotted = [k.__name__ for k in record.__mro__[:-1] if "__slots__" not in vars(k)]
         assert unslotted == [], name
 

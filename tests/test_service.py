@@ -6,6 +6,7 @@ import re
 import signal
 import socket
 import statistics
+import sys
 import threading
 import time
 import urllib.error
@@ -13,7 +14,7 @@ import urllib.request
 import weakref
 from http.client import HTTPConnection
 from pathlib import Path
-from urllib.parse import urlsplit
+from urllib.parse import quote, urlsplit
 
 import pytest
 
@@ -601,6 +602,58 @@ class TestBadInputIs400:
             assert json.loads(response.read())["v"] == 1
         finally:
             conn.close()
+
+
+class TestConcurrentExpand:
+    def test_clients_sharing_a_tiny_cache_get_the_uncached_bodies(self, monkeypatch):
+        monkeypatch.setattr("komohe.queries.MAX_CACHED_LEAVES", 2)
+        rows = [(f"t{i}", [f"u{i}"]) for i in range(6)] + [(f"t{i}", [f"v{i}", "w"]) for i in (0, 2, 4)]
+        dataset, uncached = Dataset.empty(), Dataset.empty()
+        for term, targets in rows:
+            for each in (dataset, uncached):
+                each.store.add_row("A", term, RelationType.EQ, "B", targets, RelevanceRating.HIGH)
+
+        class Uncached(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        uncached.store.expansions = Uncached()
+        handler = service.KomoheRequestHandler.__new__(service.KomoheRequestHandler)
+        handler.dataset = uncached
+        queries = [f"t{i} OR t{(i + 1) % 6} AND NOT t{(i + 2) % 6}" for i in range(6)] + ["t0 t1 t2 t3 t4 t5 x"]
+        expected = {}
+        for q in queries:
+            payload, _ = handler.route(["expand"], {"q": [q]})
+            expected[q] = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        bodies: list[tuple[str, bytes]] = []  # list.append is atomic
+
+        def client(k: int) -> None:
+            conn = HTTPConnection(*_address(base_url), timeout=10)
+            try:
+                for q in random.Random(k).choices(queries, k=40):
+                    conn.request("GET", "/expand?q=" + quote(q))
+                    bodies.append((q, conn.getresponse().read()))
+            finally:
+                conn.close()
+
+        serving = _serve(dataset)
+        base_url = next(serving)
+        threads = [threading.Thread(target=client, args=(k,)) for k in range(4)]  # more than the cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the cache's check-then-store too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            next(serving, None)  # stops the server
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(bodies) == 160
+        assert all(body == expected[q] for q, body in bodies)
+        # each of the 4 handler threads may store once after another filled the cache
+        assert len(dataset.store.expansions) <= 2 + 3
 
 
 # Response writes -------------------------------------------------------
